@@ -1,30 +1,25 @@
 //! Artifact-store benchmark (`BENCH_store.json`).
 //!
-//! Two measurements over one realistically warm store (a full `table1`
-//! study run):
+//! Two measurements:
 //!
-//! * **warm restart** — a fresh store reloaded from the phase-pack spill
-//!   reruns the study: rows must be bit-identical to the cold run and the
-//!   typings stage must record zero misses (the whole pipeline persisted).
-//! * **remote cache** — a second store warm-started purely through
-//!   `artifact-get` over live TCP against a phase-serve instance wrapping
-//!   the warm store; per-get hit latency reported as p50/p99.
+//! * **remote cache** — a full `table1` study warms one store; a second
+//!   store is then warm-started purely through `artifact-get` over live TCP
+//!   against a phase-serve instance wrapping the warm one, and the per-get
+//!   hit latency is reported as p50/p99.
+//! * **budget run** — a wider request rotation through a service whose
+//!   store is bounded to a few megabytes: the store must evict instead of
+//!   growing, and its resident footprint must never exceed the byte budget.
 //!
-//! A broken invariant panics, so CI fails visibly. Spill and load
-//! throughput are measured by the repository benchmark (`perfbench`,
-//! workload `paper-restart`).
+//! A broken invariant panics, so CI fails visibly. The warm restart from the
+//! phase-pack spill and its load throughput are measured by the repository
+//! benchmark (`perfbench`, workload `paper-restart`).
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use phase_bench::studies;
 use phase_core::{run_study, ArtifactStore, JsonValue};
-use phase_serve::{remote_warm_start, serve_tcp_with, TuningService, WireConfig};
-
-fn temp_dir(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("phase-bench-store-{name}-{}", std::process::id()))
-}
+use phase_serve::{remote_warm_start, serve_tcp_with, ServiceConfig, TuningService, WireConfig};
 
 fn percentile(sorted: &[u64], pct: f64) -> u64 {
     if sorted.is_empty() {
@@ -37,59 +32,23 @@ fn percentile(sorted: &[u64], pct: f64) -> u64 {
 fn main() {
     let settings = phase_bench::init(
         "Artifact-store benchmark (BENCH_store.json)",
-        "Measures the cold-vs-warm-restart study wall clock through the phase-pack\n\
-         spill and remote artifact-cache hit latency over live TCP. Fails unless the\n\
-         warm rerun reproduces the cold rows without recomputing a typing.",
+        "Measures remote artifact-cache hit latency over live TCP, and replays a\n\
+         request rotation through a byte-budgeted store. Fails unless the remote\n\
+         sync is error-free and the bounded store evicts within its budget.",
     );
     let threads = settings.threads.max(1);
 
-    // --- Cold pass: one full study warms every store stage. ---
+    // --- Remote artifact cache over live TCP, from a study-warmed origin. ---
     let store = Arc::new(ArtifactStore::new());
     let spec = studies::table1(&settings);
     let cold_start = Instant::now();
     let cold_report = run_study(&spec, &store, threads);
-    let cold_s = cold_start.elapsed().as_secs_f64();
     println!(
         "cold {}: {:.4}s ({} rows)",
         spec.name,
-        cold_s,
+        cold_start.elapsed().as_secs_f64(),
         cold_report.rows.len()
     );
-
-    // --- Warm restart from the spill. ---
-    let spill_dir = temp_dir("spill");
-    std::fs::remove_dir_all(&spill_dir).ok();
-    store.spill_to_dir(&spill_dir).expect("spill");
-    let warm_store = Arc::new(ArtifactStore::new());
-    let warm_load_start = Instant::now();
-    let warm_report_load = warm_store.load_spill_report(&spill_dir).expect("warm load");
-    let warm_load_s = warm_load_start.elapsed().as_secs_f64();
-    assert!(
-        warm_report_load.errors.is_empty(),
-        "{:?}",
-        warm_report_load.errors
-    );
-    let warm_start = Instant::now();
-    let warm_report = run_study(&spec, &warm_store, threads);
-    let warm_s = warm_start.elapsed().as_secs_f64();
-    let rows_identical = warm_report.rows == cold_report.rows;
-    assert!(
-        rows_identical,
-        "warm rows must be bit-identical to cold rows"
-    );
-    let warm_typings_misses = warm_store
-        .snapshot()
-        .stage("typings")
-        .map(|s| s.misses)
-        .unwrap_or(0);
-    assert_eq!(warm_typings_misses, 0, "warm restart recomputed typings");
-    println!(
-        "warm restart: load {warm_load_s:.4}s + study {warm_s:.4}s \
-         (cold {cold_s:.4}s, {:.2}x), typings misses 0",
-        cold_s / (warm_load_s + warm_s).max(1e-12)
-    );
-
-    // --- Remote artifact cache over live TCP. ---
     let origin = Arc::new(TuningService::with_store(Arc::clone(&store), threads));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");
@@ -123,6 +82,46 @@ fn main() {
         hit_p99_ns as f64 / 1e3
     );
 
+    // --- Budget-constrained run: distinct requests under a small budget. ---
+    let scale = if settings.quick { 0.05 } else { 0.25 };
+    let budget: u64 = if settings.quick {
+        4 * 1024 * 1024
+    } else {
+        16 * 1024 * 1024
+    };
+    let bounded = TuningService::new(ServiceConfig {
+        threads,
+        budget_bytes: Some(budget),
+        ..ServiceConfig::default()
+    })
+    .expect("cold start cannot fail");
+    let mut max_resident = 0u64;
+    let mut budget_requests = 0u64;
+    for seed in 0..6u64 {
+        for marking in ["loop", "interval"] {
+            let line = format!(
+                "{{\"id\": \"b-{seed}-{marking}\", \"kind\": \"marks\", \
+                 \"catalog\": {{\"scale\": {scale}, \"seed\": {seed}}}, \
+                 \"marking\": {{\"granularity\": \"{marking}\", \"min_section_size\": 45}}}}"
+            );
+            let response = bounded.respond(&line);
+            assert!(!response.is_error(), "budget run request failed");
+            budget_requests += 1;
+            max_resident = max_resident.max(bounded.store().resident_bytes());
+            assert!(
+                max_resident <= budget,
+                "budget exceeded: {max_resident} > {budget}"
+            );
+        }
+    }
+    let stats = bounded.stats();
+    assert!(stats.evictions() > 0, "the bounded store never evicted");
+    println!(
+        "budget run: {budget_requests} requests, max resident {max_resident} / {budget} bytes, \
+         {} evictions",
+        stats.evictions()
+    );
+
     // --- Report. ---
     let mut doc = JsonValue::object();
     for (name, value) in settings.meta_json() {
@@ -130,28 +129,27 @@ fn main() {
     }
     let doc = doc
         .field(
-            "warm_restart",
-            JsonValue::object()
-                .field("cold_study_s", cold_s)
-                .field("load_s", warm_load_s)
-                .field("warm_study_s", warm_s)
-                .field("speedup", cold_s / (warm_load_s + warm_s).max(1e-12))
-                .field("artifacts_loaded", warm_report_load.loaded)
-                .field("rows_identical", rows_identical)
-                .field("typings_misses", warm_typings_misses),
-        )
-        .field(
             "remote_cache",
             JsonValue::object()
                 .field("artifacts", sync.transferred)
                 .field("admitted", sync.admitted)
+                .field("errors", sync.errors.len())
                 .field("sync_s", sync_s)
                 .field("hit_p50_ns", hit_p50_ns)
                 .field("hit_p99_ns", hit_p99_ns),
+        )
+        .field(
+            "budget_run",
+            JsonValue::object()
+                .field("scale", scale)
+                .field("budget_bytes", budget)
+                .field("requests", budget_requests)
+                .field("max_resident_bytes", max_resident)
+                .field("evictions", stats.evictions())
+                .field("final_resident_bytes", stats.resident_bytes())
+                .field("store", stats.store.to_json()),
         );
     let path = settings.out_path("BENCH_store.json");
     let written = phase_bench::write_report_file(&path, &doc.render()).map(|()| path);
     phase_bench::announce_report(written, "BENCH_store.json");
-
-    std::fs::remove_dir_all(&spill_dir).ok();
 }

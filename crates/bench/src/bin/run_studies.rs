@@ -2,15 +2,14 @@
 //! invocation, sharing one artifact store — plus the cold-versus-warm
 //! benchmark of that store.
 //!
-//! All thirteen studies run in sequence against a single
-//! [`ArtifactStore`](phase_core::ArtifactStore), so cross-study reuse (the
-//! shared catalogues, the config-independent baseline twins and isolated
-//! runtimes, identical cells across sweeps) happens naturally; each study's
-//! `BENCH_<study>.json` is written as it completes. Afterwards the
-//! `table1`/`fig6`/`fig7` sweeps are run *again* on the warm store and
-//! `BENCH_study.json` records the cold-versus-warm wall-clock per study, the
-//! end-to-end wall-clock, and the final store counters — the regression
-//! artifact CI tracks for the caching layer.
+//! All thirteen studies run in sequence against a single [`ArtifactStore`],
+//! so cross-study reuse (the shared catalogues, the config-independent
+//! baseline twins and isolated runtimes, identical cells across sweeps)
+//! happens naturally; each study's `BENCH_<study>.json` is written as it
+//! completes. Afterwards the `table1`/`fig6`/`fig7` sweeps are run *again*
+//! on the warm store and `BENCH_study.json` records the cold-versus-warm
+//! wall-clock per study, the end-to-end wall-clock, and the final store
+//! counters — the regression artifact CI tracks for the caching layer.
 //!
 //! Set `PHASE_BENCH_SPILL=DIR` to persist the store across runs: if `DIR`
 //! already holds a spill it is reloaded *before* the cold pass (so a cached

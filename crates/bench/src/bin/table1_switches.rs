@@ -1,5 +1,5 @@
 //! Table 1: core switches and isolated runtime per benchmark under the best
-//! technique (Loop[45], 0.2 IPC threshold). Thin spec over the shared study
+//! technique (`Loop[45]`, 0.2 IPC threshold). Thin spec over the shared study
 //! runner (`phase_bench::studies::table1`).
 
 fn main() {

@@ -19,11 +19,13 @@
 //! | Figure 8 (speedup vs. fairness trade-off) | `fig8_speedup_fairness` |
 //! | Section III / IV-B (mark statistics) | `table_mark_stats` |
 //! | Section VII (3-core AMP) | `exp_three_core` |
-//! | engine/driver baseline (`BENCH_engine.json`) | `bench_engine` |
+//! | engine/driver/static-pipeline baseline (`BENCH_engine.json`) | `bench_engine` |
 //! | online vs. static tuning (`BENCH_online.json`) | `online_vs_static` |
 //! | every study + cold/warm store benchmark (`BENCH_study.json`) | `run_studies` |
-//! | tuning-service cold/warm + eviction (`BENCH_serve.json`) | `bench_serve` |
 //! | open-loop serving latency + coalescing storm (`BENCH_load.json`) | `bench_load` |
+//! | remote artifact cache + bounded-store budget run (`BENCH_store.json`) | `bench_store` |
+//! | tail latency under open-loop service pipelines (`BENCH_tail.json`) | `bench_tail` |
+//! | tracing overhead, disabled and enabled (`BENCH_trace.json`) | `bench_trace` |
 //!
 //! Every study binary is a thin declarative spec (see [`studies`]) over the
 //! shared spec-driven runner of `phase-core` (`run_study`): the spec expands
@@ -32,11 +34,11 @@
 //! [`StudyReport`] is rendered to the legacy table text and written as
 //! `BENCH_<study>.json`. `run_studies` executes all thirteen studies against
 //! one shared store and records the cold-versus-warm sweep wall-clock in
-//! `BENCH_study.json`. The Criterion benches (`cargo bench -p phase-bench`)
-//! measure the static analyses and both simulator engines on reduced inputs.
+//! `BENCH_study.json`. `bench_engine`'s `layer/*` rows time the static
+//! analyses and the instrumentation pipeline.
 //!
-//! Every binary honours these environment variables (mirrored by CLI flags)
-//! so full and quick runs use the same code path:
+//! Every binary honours these environment variables (mirrored by CLI flags,
+//! which override them; [`BenchSettings::parse`] checks both the same way):
 //!
 //! * `PHASE_BENCH_SLOTS` — workload size (default varies per study);
 //! * `PHASE_BENCH_THREADS` — driver worker threads (default: all hardware
@@ -49,7 +51,9 @@
 //! * `PHASE_BENCH_OUT_DIR` — where `BENCH_*.json` reports are written
 //!   (default: the current directory);
 //! * `PHASE_BENCH_INTERVAL` — restricts the online sampling-interval sweep
-//!   to one period.
+//!   to one period;
+//! * `PHASE_BENCH_TRACE_OUT` — enables tracing and dumps the run's timeline
+//!   as NDJSON to this file.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -63,115 +67,6 @@ use phase_sched::SimConfig;
 
 pub mod studies;
 
-/// How an environment variable parsed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EnvParse<T> {
-    /// The variable is not set.
-    Unset,
-    /// The variable parsed.
-    Parsed(T),
-    /// The variable is set but does not parse as the expected type; the raw
-    /// value is carried for the error message.
-    Malformed(String),
-}
-
-/// Classifies an environment variable without losing the malformed case.
-pub fn env_parse<T: std::str::FromStr>(name: &str) -> EnvParse<T> {
-    match std::env::var(name) {
-        Err(_) => EnvParse::Unset,
-        Ok(raw) => match raw.parse() {
-            Ok(value) => EnvParse::Parsed(value),
-            Err(_) => EnvParse::Malformed(raw),
-        },
-    }
-}
-
-/// Reads an environment variable as a number, falling back to a default.
-///
-/// A set-but-unparsable value is *not* silently swallowed: a loud warning
-/// naming the variable and the rejected value goes to stderr before the
-/// default is used, so `PHASE_BENCH_SLOTS=1o` can no longer masquerade as a
-/// deliberate default-sized run.
-pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    match env_parse(name) {
-        EnvParse::Unset => default,
-        EnvParse::Parsed(value) => value,
-        EnvParse::Malformed(raw) => {
-            eprintln!(
-                "WARNING: environment variable {name}={raw:?} does not parse as {}; \
-                 falling back to the default",
-                std::any::type_name::<T>()
-            );
-            default
-        }
-    }
-}
-
-/// Whether quick mode is enabled (`PHASE_BENCH_QUICK` set to anything but
-/// `0`).
-pub fn quick_mode() -> bool {
-    std::env::var("PHASE_BENCH_QUICK")
-        .map(|v| v != "0")
-        .unwrap_or(false)
-}
-
-/// Whether the pinned performance profile is enabled (`PHASE_BENCH_PERF` set
-/// to anything but `0`, or the `--perf` flag). Perf runs pin the scale, slot
-/// count, seeds and sample count so `BENCH_engine.json` sims/sec numbers are
-/// comparable across runs and against the checked-in baseline; the profile
-/// overrides `--quick` and `--slots`.
-pub fn perf_mode() -> bool {
-    std::env::var("PHASE_BENCH_PERF")
-        .map(|v| v != "0")
-        .unwrap_or(false)
-}
-
-/// The workload size used by the throughput/fairness experiments, honouring
-/// `PHASE_BENCH_SLOTS`.
-pub fn workload_slots() -> usize {
-    env_or("PHASE_BENCH_SLOTS", 18)
-}
-
-/// Driver worker threads, honouring `PHASE_BENCH_THREADS` (and therefore the
-/// `--threads=N` flag, which sets it). Defaults to all hardware threads.
-pub fn threads() -> usize {
-    env_or("PHASE_BENCH_THREADS", Driver::default().threads()).max(1)
-}
-
-/// The experiment driver every binary fans its plan out with:
-/// [`threads`]-many workers.
-pub fn driver() -> Driver {
-    Driver::new(threads())
-}
-
-/// The sampling-interval override for online-tuning binaries, honouring
-/// `PHASE_BENCH_INTERVAL` (and therefore the `--interval=N` flag, which sets
-/// it): `Some(nanoseconds)` restricts an interval sweep to that single
-/// period, `None` (the default) lets the binary sweep its built-in list.
-pub fn sample_interval_override_ns() -> Option<f64> {
-    std::env::var("PHASE_BENCH_INTERVAL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|ns: &f64| ns.is_finite() && *ns > 0.0)
-}
-
-/// The output directory for `BENCH_*.json` reports, honouring
-/// `PHASE_BENCH_OUT_DIR` (and therefore the `--out=PATH` flag, which sets
-/// it). `None` means the current directory, the legacy behaviour.
-pub fn out_dir() -> Option<PathBuf> {
-    std::env::var("PHASE_BENCH_OUT_DIR").ok().map(PathBuf::from)
-}
-
-/// Where a bench binary should dump its captured trace as NDJSON, honouring
-/// `PHASE_BENCH_TRACE_OUT` (and therefore the `--trace-out=PATH` flag, which
-/// sets it). `None` (the default) leaves tracing off.
-pub fn trace_out() -> Option<PathBuf> {
-    std::env::var("PHASE_BENCH_TRACE_OUT")
-        .ok()
-        .filter(|path| !path.is_empty())
-        .map(PathBuf::from)
-}
-
 /// Writes the given trace records to `path` as deterministic NDJSON (one
 /// record per line, sorted by logical coordinate by the trace crate).
 pub fn write_trace_ndjson(
@@ -181,10 +76,10 @@ pub fn write_trace_ndjson(
     write_report_file(path, &phase_core::trace_export::render_ndjson(records))
 }
 
-/// The parsed harness settings every study binary runs under. Binaries fill
-/// this from the environment (after `init` folded the flags in); tests build
-/// it directly so they never race on process-global environment variables.
-#[derive(Debug, Clone, Default)]
+/// The parsed harness settings every study binary runs under. Binaries get
+/// them from [`init`] (flags over environment variables, see
+/// [`BenchSettings::parse`]); tests build them directly.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchSettings {
     /// Reduced catalogue and horizon (`--quick` / `PHASE_BENCH_QUICK`).
     pub quick: bool,
@@ -209,26 +104,82 @@ pub struct BenchSettings {
 }
 
 impl BenchSettings {
-    /// Settings as configured by the environment (and therefore the CLI
-    /// flags, which `init` translates into environment variables).
-    pub fn from_env() -> Self {
-        Self {
-            quick: quick_mode(),
-            perf: perf_mode(),
-            slots: match env_parse("PHASE_BENCH_SLOTS") {
-                EnvParse::Parsed(slots) => Some(slots),
-                EnvParse::Unset => None,
-                EnvParse::Malformed(_) => {
-                    // `env_or` warns; keep one warning path.
-                    let _: usize = env_or("PHASE_BENCH_SLOTS", 0);
-                    None
+    /// Parses the command line (`args`, without the program name) over the
+    /// environment as seen through `env`. Every setting has one check, run
+    /// on whichever of its flag or variable supplies it; a flag overrides
+    /// its variable, and an empty variable counts as unset. `quick` and
+    /// `perf` are on when their flag is given or their variable is set to
+    /// anything but `0`.
+    ///
+    /// Returns `Ok(None)` when `--help` was asked for, and `Err` with the
+    /// message to exit 2 on for an invalid value or an unrecognized argument.
+    pub fn parse(
+        args: &[String],
+        env: impl Fn(&str) -> Option<String>,
+    ) -> Result<Option<Self>, String> {
+        let var = |name: &str| env(name).filter(|value| !value.is_empty());
+        let on = |name: &str| env(name).is_some_and(|value| value != "0");
+        let (mut quick, mut perf) = (on("PHASE_BENCH_QUICK"), on("PHASE_BENCH_PERF"));
+        let mut slots = var("PHASE_BENCH_SLOTS");
+        let mut threads = var("PHASE_BENCH_THREADS");
+        let mut interval = var("PHASE_BENCH_INTERVAL");
+        let mut out_dir = var("PHASE_BENCH_OUT_DIR");
+        let mut trace_out = var("PHASE_BENCH_TRACE_OUT");
+        for arg in args {
+            match arg.as_str() {
+                "--help" | "-h" => return Ok(None),
+                "--quick" | "-q" => quick = true,
+                "--perf" => perf = true,
+                other => {
+                    let (setting, value) = match other.split_once('=') {
+                        Some(("--slots", value)) => (&mut slots, value),
+                        Some(("--threads", value)) => (&mut threads, value),
+                        Some(("--interval", value)) => (&mut interval, value),
+                        Some(("--out", value)) => (&mut out_dir, value),
+                        Some(("--trace-out", value)) => (&mut trace_out, value),
+                        _ => return Err(format!("unrecognized argument: {other} (try --help)")),
+                    };
+                    *setting = Some(value.to_string());
                 }
-            },
-            threads: threads(),
-            interval_override_ns: sample_interval_override_ns(),
-            out_dir: out_dir(),
-            trace_out: trace_out(),
+            }
         }
+        let count = |flag: &str, raw: String| match raw.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!(
+                "invalid {flag} value: {raw} (expected a positive integer)"
+            )),
+        };
+        let path = |flag: &str, what: &str, raw: String| {
+            if raw.is_empty() {
+                Err(format!("invalid {flag} value: expected {what}"))
+            } else {
+                Ok(PathBuf::from(raw))
+            }
+        };
+        Ok(Some(Self {
+            quick,
+            perf,
+            slots: slots.map(|raw| count("--slots", raw)).transpose()?,
+            threads: match threads {
+                Some(raw) => count("--threads", raw)?,
+                None => Driver::default().threads(),
+            },
+            interval_override_ns: interval
+                .map(|raw| match raw.parse::<f64>() {
+                    Ok(ns) if ns.is_finite() && ns > 0.0 => Ok(ns),
+                    _ => Err(format!(
+                        "invalid --interval value: {raw} (expected nanoseconds as a \
+                         positive number)"
+                    )),
+                })
+                .transpose()?,
+            out_dir: out_dir
+                .map(|raw| path("--out", "a directory path", raw))
+                .transpose()?,
+            trace_out: trace_out
+                .map(|raw| path("--trace-out", "a file path", raw))
+                .transpose()?,
+        }))
     }
 
     /// Fixed settings for tests: quick mode, an explicit slot count, two
@@ -384,13 +335,7 @@ pub fn run_study_main(
 
 /// The experiment configuration shared by the dynamic experiments: the
 /// paper's machine, the given marking technique, and a continuously fed
-/// workload measured over a fixed horizon.
-pub fn experiment_config(marking: MarkingConfig) -> ExperimentConfig {
-    experiment_config_with(&BenchSettings::from_env(), marking)
-}
-
-/// Like [`experiment_config`], but from explicit settings instead of the
-/// process environment (what the study specs and their tests use).
+/// workload measured over a fixed horizon, sized by the settings.
 pub fn experiment_config_with(
     settings: &BenchSettings,
     marking: MarkingConfig,
@@ -416,9 +361,9 @@ pub fn overhead_variants() -> Vec<MarkingConfig> {
     MarkingConfig::table2_variants()
 }
 
-/// Parses the standard regeneration-binary command line, then prints the
-/// standard header and returns the resulting [`BenchSettings`]. Every binary
-/// accepts:
+/// Parses the standard regeneration-binary command line over the
+/// environment ([`BenchSettings::parse`]), then prints the standard header
+/// and returns the resulting [`BenchSettings`]. Every binary accepts:
 ///
 /// * `--help` / `-h` — print the artifact description and flags, then exit;
 /// * `--quick` / `-q` — same as setting `PHASE_BENCH_QUICK=1`: shrink the
@@ -436,124 +381,72 @@ pub fn overhead_variants() -> Vec<MarkingConfig> {
 ///   the sampling interval (`online_vs_static`) restrict the sweep to this
 ///   single value; binaries without an online policy ignore it;
 /// * `--out=PATH` — same as `PHASE_BENCH_OUT_DIR=PATH`: the directory
-///   `BENCH_*.json` reports are written to (default: the current directory).
+///   `BENCH_*.json` reports are written to (default: the current directory);
+/// * `--trace-out=PATH` — same as `PHASE_BENCH_TRACE_OUT=PATH`: enable
+///   tracing and dump the run's timeline as NDJSON.
 ///
-/// Flags override the corresponding environment variables, and the variables
-/// are how the parsed values reach [`experiment_config`] / [`driver`], so
-/// full and quick runs share one code path.
+/// An invalid value, from a flag or a variable, exits 2 with a message.
 pub fn init(artifact: &str, description: &str) -> BenchSettings {
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{artifact}");
-                println!("{description}");
-                println!();
-                println!(
-                    "USAGE: [--quick] [--perf] [--slots=N] [--threads=N] [--interval=N] \
-                     [--out=PATH] [--trace-out=PATH]"
-                );
-                println!("  --quick, -q   reduced catalogue/horizon (env: PHASE_BENCH_QUICK=1)");
-                println!(
-                    "  --perf        pinned scale/seed perf profile for sims/sec gating \
-                     (env: PHASE_BENCH_PERF=1)"
-                );
-                println!(
-                    "  --slots=N     workload size (env: PHASE_BENCH_SLOTS; \
-                     default varies per artifact)"
-                );
-                println!(
-                    "  --threads=N   driver worker threads (env: PHASE_BENCH_THREADS; \
-                     default: all hardware threads)"
-                );
-                println!(
-                    "  --interval=N  online sampling period in ns (env: PHASE_BENCH_INTERVAL; \
-                     default: sweep the binary's built-in list)"
-                );
-                println!(
-                    "  --out=PATH    directory for BENCH_*.json reports \
-                     (env: PHASE_BENCH_OUT_DIR; default: current directory)"
-                );
-                println!(
-                    "  --trace-out=PATH  enable structured tracing and dump the run's \
-                     timeline as NDJSON (env: PHASE_BENCH_TRACE_OUT; default: off)"
-                );
-                std::process::exit(0);
-            }
-            "--quick" | "-q" => std::env::set_var("PHASE_BENCH_QUICK", "1"),
-            "--perf" => std::env::set_var("PHASE_BENCH_PERF", "1"),
-            other => {
-                if let Some(n) = other.strip_prefix("--slots=") {
-                    match n.parse::<usize>() {
-                        Ok(slots) if slots > 0 => {
-                            std::env::set_var("PHASE_BENCH_SLOTS", slots.to_string());
-                            continue;
-                        }
-                        _ => {
-                            eprintln!("invalid --slots value: {n} (expected a positive integer)");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                if let Some(n) = other.strip_prefix("--threads=") {
-                    match n.parse::<usize>() {
-                        Ok(threads) if threads > 0 => {
-                            std::env::set_var("PHASE_BENCH_THREADS", threads.to_string());
-                            continue;
-                        }
-                        _ => {
-                            eprintln!("invalid --threads value: {n} (expected a positive integer)");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                if let Some(n) = other.strip_prefix("--interval=") {
-                    match n.parse::<f64>() {
-                        Ok(ns) if ns.is_finite() && ns > 0.0 => {
-                            std::env::set_var("PHASE_BENCH_INTERVAL", n);
-                            continue;
-                        }
-                        _ => {
-                            eprintln!(
-                                "invalid --interval value: {n} (expected nanoseconds as a \
-                                 positive number)"
-                            );
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                if let Some(path) = other.strip_prefix("--out=") {
-                    if path.is_empty() {
-                        eprintln!("invalid --out value: expected a directory path");
-                        std::process::exit(2);
-                    }
-                    std::env::set_var("PHASE_BENCH_OUT_DIR", path);
-                    continue;
-                }
-                if let Some(path) = other.strip_prefix("--trace-out=") {
-                    if path.is_empty() {
-                        eprintln!("invalid --trace-out value: expected a file path");
-                        std::process::exit(2);
-                    }
-                    std::env::set_var("PHASE_BENCH_TRACE_OUT", path);
-                    continue;
-                }
-                eprintln!("unrecognized argument: {other} (try --help)");
-                std::process::exit(2);
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match BenchSettings::parse(&args, |name| std::env::var(name).ok()) {
+        Ok(Some(settings)) => {
+            print_header(artifact, description, &settings);
+            settings
+        }
+        Ok(None) => {
+            print_help(artifact, description);
+            std::process::exit(0);
+        }
+        Err(message) => {
+            eprintln!("{message}");
+            std::process::exit(2);
         }
     }
-    print_header(artifact, description);
-    BenchSettings::from_env()
+}
+
+fn print_help(artifact: &str, description: &str) {
+    println!("{artifact}");
+    println!("{description}");
+    println!();
+    println!(
+        "USAGE: [--quick] [--perf] [--slots=N] [--threads=N] [--interval=N] \
+         [--out=PATH] [--trace-out=PATH]"
+    );
+    println!("  --quick, -q   reduced catalogue/horizon (env: PHASE_BENCH_QUICK=1)");
+    println!(
+        "  --perf        pinned scale/seed perf profile for sims/sec gating \
+         (env: PHASE_BENCH_PERF=1)"
+    );
+    println!(
+        "  --slots=N     workload size (env: PHASE_BENCH_SLOTS; \
+         default varies per artifact)"
+    );
+    println!(
+        "  --threads=N   driver worker threads (env: PHASE_BENCH_THREADS; \
+         default: all hardware threads)"
+    );
+    println!(
+        "  --interval=N  online sampling period in ns (env: PHASE_BENCH_INTERVAL; \
+         default: sweep the binary's built-in list)"
+    );
+    println!(
+        "  --out=PATH    directory for BENCH_*.json reports \
+         (env: PHASE_BENCH_OUT_DIR; default: current directory)"
+    );
+    println!(
+        "  --trace-out=PATH  enable structured tracing and dump the run's \
+         timeline as NDJSON (env: PHASE_BENCH_TRACE_OUT; default: off)"
+    );
 }
 
 /// Prints the standard header used by every regeneration binary.
-pub fn print_header(artifact: &str, description: &str) {
+fn print_header(artifact: &str, description: &str, settings: &BenchSettings) {
     println!("== {artifact} ==");
     println!("{description}");
-    if quick_mode() {
+    if settings.quick {
         println!("(quick mode: reduced catalogue and horizon)");
     }
-    println!("(driver: {} worker threads)", threads());
+    println!("(driver: {} worker threads)", settings.threads);
     println!();
 }
 
@@ -561,49 +454,123 @@ pub fn print_header(artifact: &str, description: &str) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn env_or_falls_back_to_default() {
-        std::env::remove_var("PHASE_BENCH_TEST_VALUE");
-        assert_eq!(env_or("PHASE_BENCH_TEST_VALUE", 7usize), 7);
-        std::env::set_var("PHASE_BENCH_TEST_VALUE", "12");
-        assert_eq!(env_or("PHASE_BENCH_TEST_VALUE", 7usize), 12);
-        std::env::remove_var("PHASE_BENCH_TEST_VALUE");
+    /// Parses `args` over an environment holding exactly `vars`.
+    fn parse(args: &[&str], vars: &[(&str, &str)]) -> Result<Option<BenchSettings>, String> {
+        let args: Vec<String> = args.iter().map(|arg| arg.to_string()).collect();
+        BenchSettings::parse(&args, |name| {
+            vars.iter()
+                .find(|(var, _)| *var == name)
+                .map(|(_, value)| value.to_string())
+        })
+    }
+
+    fn settings(args: &[&str], vars: &[(&str, &str)]) -> BenchSettings {
+        parse(args, vars)
+            .expect("valid settings")
+            .expect("not a help request")
     }
 
     #[test]
-    fn malformed_env_values_are_detected_not_swallowed() {
-        std::env::set_var("PHASE_BENCH_TEST_MALFORMED", "1o");
+    fn defaults_apply_when_nothing_is_set() {
+        let defaults = settings(&[], &[]);
+        assert!(!defaults.quick && !defaults.perf);
+        assert_eq!(defaults.slots, None);
+        assert_eq!(defaults.threads, Driver::default().threads());
+        assert_eq!(defaults.interval_override_ns, None);
+        assert_eq!(defaults.out_dir, None);
+        assert_eq!(defaults.trace_out, None);
+        assert_eq!(parse(&["--quick", "--help"], &[]), Ok(None));
+    }
+
+    #[test]
+    fn variables_set_what_flags_set() {
+        let vars = [
+            ("PHASE_BENCH_QUICK", "1"),
+            ("PHASE_BENCH_PERF", "1"),
+            ("PHASE_BENCH_SLOTS", "6"),
+            ("PHASE_BENCH_THREADS", "3"),
+            ("PHASE_BENCH_INTERVAL", "250000"),
+            ("PHASE_BENCH_OUT_DIR", "reports"),
+            ("PHASE_BENCH_TRACE_OUT", "trace.ndjson"),
+        ];
+        let flags = [
+            "--quick",
+            "--perf",
+            "--slots=6",
+            "--threads=3",
+            "--interval=250000",
+            "--out=reports",
+            "--trace-out=trace.ndjson",
+        ];
+        let from_vars = settings(&[], &vars);
+        let from_flags = settings(&flags, &[]);
+        for parsed in [&from_vars, &from_flags] {
+            assert!(parsed.quick && parsed.perf);
+            assert_eq!(parsed.slots, Some(6));
+            assert_eq!(parsed.threads, 3);
+            assert_eq!(parsed.interval_override_ns, Some(250_000.0));
+            assert_eq!(parsed.out_dir, Some(PathBuf::from("reports")));
+            assert_eq!(parsed.trace_out, Some(PathBuf::from("trace.ndjson")));
+        }
+        // `0` switches a boolean variable off; an empty value is unset.
+        assert!(!settings(&[], &[("PHASE_BENCH_QUICK", "0")]).quick);
+        assert_eq!(settings(&[], &[("PHASE_BENCH_SLOTS", "")]).slots, None);
+    }
+
+    #[test]
+    fn flags_override_their_variables() {
+        let vars = [("PHASE_BENCH_SLOTS", "6"), ("PHASE_BENCH_THREADS", "3")];
+        let overridden = settings(&["--slots=9", "--threads=2"], &vars);
+        assert_eq!((overridden.slots, overridden.threads), (Some(9), 2));
+        // The last occurrence of a flag wins.
+        assert_eq!(settings(&["--slots=2", "--slots=5"], &vars).slots, Some(5));
+        // A flag overrides a malformed variable without checking it.
         assert_eq!(
-            env_parse::<usize>("PHASE_BENCH_TEST_MALFORMED"),
-            EnvParse::Malformed("1o".to_string()),
-            "the malformed case is distinguishable from unset"
+            settings(&["--slots=4"], &[("PHASE_BENCH_SLOTS", "1o")]).slots,
+            Some(4)
         );
-        // `env_or` warns on stderr and then falls back.
-        assert_eq!(env_or("PHASE_BENCH_TEST_MALFORMED", 7usize), 7);
-        std::env::remove_var("PHASE_BENCH_TEST_MALFORMED");
+    }
+
+    #[test]
+    fn invalid_variables_fail_with_the_flag_message() {
+        for (flag, var, raw) in [
+            ("--slots", "PHASE_BENCH_SLOTS", "0"),
+            ("--slots", "PHASE_BENCH_SLOTS", "1o"),
+            ("--threads", "PHASE_BENCH_THREADS", "0"),
+            ("--interval", "PHASE_BENCH_INTERVAL", "abc"),
+            ("--interval", "PHASE_BENCH_INTERVAL", "-5"),
+        ] {
+            let from_flag = parse(&[&format!("{flag}={raw}")], &[]);
+            let from_var = parse(&[], &[(var, raw)]);
+            assert!(from_flag.is_err(), "{flag}={raw} must be rejected");
+            assert_eq!(from_var, from_flag, "{var}={raw}");
+        }
         assert_eq!(
-            env_parse::<usize>("PHASE_BENCH_TEST_MALFORMED"),
-            EnvParse::Unset
+            parse(&[], &[("PHASE_BENCH_SLOTS", "0")]),
+            Err("invalid --slots value: 0 (expected a positive integer)".into())
+        );
+        assert_eq!(
+            parse(&[], &[("PHASE_BENCH_INTERVAL", "abc")]),
+            Err("invalid --interval value: abc (expected nanoseconds as a positive number)".into())
+        );
+        assert_eq!(
+            parse(&["--out="], &[]),
+            Err("invalid --out value: expected a directory path".into())
+        );
+        assert_eq!(
+            parse(&["--slots"], &[]),
+            Err("unrecognized argument: --slots (try --help)".into())
         );
     }
 
     #[test]
     fn experiment_config_uses_requested_marking() {
-        let config = experiment_config(MarkingConfig::interval(45));
+        let config =
+            experiment_config_with(&BenchSettings::for_tests(4), MarkingConfig::interval(45));
         assert_eq!(config.pipeline.marking, MarkingConfig::interval(45));
+        assert_eq!(config.workload_slots, 4);
         assert!(config.sim.horizon_ns.is_some());
-        assert!(config.threads >= 1);
-    }
-
-    #[test]
-    fn thread_count_honours_the_environment() {
-        std::env::set_var("PHASE_BENCH_THREADS", "3");
-        assert_eq!(threads(), 3);
-        assert_eq!(driver().threads(), 3);
-        std::env::set_var("PHASE_BENCH_THREADS", "0");
-        assert_eq!(threads(), 1, "zero clamps to one worker");
-        std::env::remove_var("PHASE_BENCH_THREADS");
-        assert!(threads() >= 1);
+        assert_eq!(config.threads, 2);
     }
 
     #[test]
@@ -635,16 +602,16 @@ mod tests {
                 .unwrap();
         assert!(perf_regressions(&extra, &doc(10.0, 5.0), 0.20).is_empty());
         assert!(perf_regressions(&doc(10.0, 5.0), &extra, 0.20).is_empty());
-    }
-
-    #[test]
-    fn interval_override_honours_the_environment() {
-        std::env::remove_var("PHASE_BENCH_INTERVAL");
-        assert_eq!(sample_interval_override_ns(), None);
-        std::env::set_var("PHASE_BENCH_INTERVAL", "250000");
-        assert_eq!(sample_interval_override_ns(), Some(250_000.0));
-        std::env::set_var("PHASE_BENCH_INTERVAL", "-5");
-        assert_eq!(sample_interval_override_ns(), None, "negative is rejected");
-        std::env::remove_var("PHASE_BENCH_INTERVAL");
+        // A `layer/*` row the committed baseline predates is never gated,
+        // however slow it runs.
+        let with_layer = phase_core::json::parse(
+            r#"{"rows": [
+                {"label": "fig4/event", "sims_per_sec": 10.0},
+                {"label": "bursty/event", "sims_per_sec": 5.0},
+                {"label": "layer/block-typing-kmeans", "wall_s": 1e6, "sims_per_sec": 1e-6}
+            ]}"#,
+        )
+        .unwrap();
+        assert!(perf_regressions(&with_layer, &doc(10.0, 5.0), 0.20).is_empty());
     }
 }

@@ -166,7 +166,8 @@ pub fn render_engine(report: &StudyReport) -> String {
     body(
         &table,
         "sims/sec: full simulations per wall-clock second (best of N samples); \
-         engine rows are one simulation each, table1 rows one isolation plan.",
+         engine rows are one simulation each, table1 rows one isolation plan,\n\
+         layer rows one pass of a static-pipeline stage over the catalogue.",
     )
 }
 

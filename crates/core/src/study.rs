@@ -11,14 +11,18 @@
 //! [`crate::json`].
 
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
 use phase_amp::MachineSpec;
+use phase_analysis::{assign_block_types, StaticTypingConfig};
+use phase_cfg::{CallGraph, Cfg, DominatorTree, IntervalPartition, LoopForest};
+use phase_ir::Program;
 use phase_marking::{InstrumentedProgram, MarkingConfig};
 use phase_metrics::SummaryStats;
 use phase_runtime::TunerConfig;
-use phase_sched::{EngineKind, NullHook, SimConfig, SimResult};
+use phase_sched::{EngineKind, NullHook, SimConfig};
 use phase_workload::{CatalogSpec, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
@@ -29,7 +33,7 @@ use crate::experiment::{
     prepare_workload_cached, run_with_hook, ExperimentConfig,
 };
 use crate::json::JsonValue;
-use crate::pipeline::PipelineConfig;
+use crate::pipeline::{prepare_program, PipelineConfig};
 
 /// One typed metric value in a study row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -296,8 +300,13 @@ pub enum StudyMode {
     /// and assert bit-identical committed work against the round engine. For
     /// every driver thread count: one `table1/threads=N` row with `wall_s`,
     /// `cells`, `sims_per_sec` (cells per second) and `parallel_speedup`
-    /// versus the first listed count. Perf cells deliberately bypass the
-    /// artifact store — a cache hit would time the cache, not the engine.
+    /// versus the first listed count. Then seven `layer/<stage>` rows, each
+    /// timing one pass of a static-pipeline stage over every program in
+    /// `catalog` (`cfg+dominators+loops`, `interval-partition`, `call-graph`,
+    /// `block-typing-kmeans`, and `prepare/<marking>` for one basic-block,
+    /// one interval and one loop marking) with `wall_s` and `sims_per_sec`
+    /// (passes per second). Perf cells deliberately bypass the artifact
+    /// store — a cache hit would time the cache, not the engine.
     EnginePerf {
         /// Catalogue the engine workloads queue over (uninstrumented twins).
         catalog: CatalogSpec,
@@ -940,9 +949,29 @@ fn tail_latency(
     rows
 }
 
-/// Times both engines on each workload and the driver on the isolation
-/// plan. Setup (slot and machine clones, plan construction) stays outside
-/// every timed region: the rows measure simulation throughput, nothing else.
+/// Best wall-clock seconds of `samples` runs (at least one), each timing
+/// `run` on a fresh input from the untimed `setup`, plus the last output.
+fn best_of<S, R>(
+    samples: usize,
+    mut setup: impl FnMut() -> S,
+    mut run: impl FnMut(S) -> R,
+) -> (f64, R) {
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..samples.max(1) {
+        let input = setup();
+        let start = Instant::now();
+        let output = run(input);
+        best = best.min(start.elapsed().as_secs_f64());
+        last = Some(output);
+    }
+    (best, last.expect("at least one sample ran"))
+}
+
+/// Times both engines on each workload, the driver on the isolation plan,
+/// and each static-pipeline layer over the engine catalogue. Setup (slot and
+/// machine clones, plan construction) stays outside every timed region: the
+/// rows measure simulation and analysis throughput, nothing else.
 #[allow(clippy::too_many_arguments)]
 fn engine_perf(
     store: &ArtifactStore,
@@ -956,7 +985,6 @@ fn engine_perf(
     sim: &SimConfig,
     samples: usize,
 ) -> Vec<StudyRow> {
-    let samples = samples.max(1);
     let catalog = store.catalog(catalog_spec);
     let plain: Vec<Arc<InstrumentedProgram>> = catalog
         .benchmarks()
@@ -975,17 +1003,11 @@ fn engine_perf(
                 horizon_ns: perf.horizon_ns,
                 ..*sim
             };
-            let mut best = f64::INFINITY;
-            let mut last = None::<SimResult>;
-            for _ in 0..samples {
-                let slots = slots.clone();
-                let machine = machine.clone();
-                let start = Instant::now();
-                let result = run_with_hook("engine-perf", machine, slots, NullHook, config);
-                best = best.min(start.elapsed().as_secs_f64());
-                last = Some(result);
-            }
-            let result = last.expect("at least one sample ran");
+            let (best, result) = best_of(
+                samples,
+                || (machine.clone(), slots.clone()),
+                |(machine, slots)| run_with_hook("engine-perf", machine, slots, NullHook, config),
+            );
             let engine_name = match engine {
                 EngineKind::RoundBased => "round",
                 EngineKind::EventDriven => "event",
@@ -1037,14 +1059,9 @@ fn engine_perf(
         let cells = catalog.len() as f64;
         let mut reference = None::<f64>;
         for &threads in thread_counts {
-            let mut best = f64::INFINITY;
-            for _ in 0..samples {
-                let plan = build_plan();
-                let start = Instant::now();
-                let outcome = Driver::new(threads).run(plan);
-                best = best.min(start.elapsed().as_secs_f64());
-                assert_eq!(outcome.aggregate.cells_completed, catalog.len());
-            }
+            let (best, outcome) =
+                best_of(samples, build_plan, |plan| Driver::new(threads).run(plan));
+            assert_eq!(outcome.aggregate.cells_completed, catalog.len());
             let reference_s = *reference.get_or_insert(best);
             rows.push(
                 StudyRow::new(format!("table1/threads={threads}"))
@@ -1056,7 +1073,83 @@ fn engine_perf(
             );
         }
     }
+
+    for (name, pass) in layer_passes(machine, pipeline) {
+        let (best, ()) = best_of(
+            samples,
+            || (),
+            |()| catalog.benchmarks().iter().for_each(|b| pass(b.program())),
+        );
+        rows.push(
+            StudyRow::new(format!("layer/{name}"))
+                .metric("wall_s", MetricValue::Float(best))
+                .metric("sims_per_sec", MetricValue::Float(1.0 / best)),
+        );
+    }
     rows
+}
+
+/// One static-pipeline stage applied to one program, its output discarded
+/// through `black_box` so the optimiser cannot skip the work.
+type LayerPass<'a> = Box<dyn Fn(&Program) + 'a>;
+
+/// The static-pipeline stages (the paper's Section III) the `layer/*` rows
+/// time, in pipeline order: the CFG analyses, k-means block typing, and the
+/// full prepare path (typing, sections, marks) for one marking of each
+/// granularity.
+fn layer_passes<'a>(
+    machine: &'a MachineSpec,
+    pipeline: &PipelineConfig,
+) -> Vec<(String, LayerPass<'a>)> {
+    let mut passes: Vec<(String, LayerPass<'a>)> = vec![
+        (
+            "cfg+dominators+loops".into(),
+            Box::new(|program| {
+                for proc in program.procedures() {
+                    let cfg = Cfg::build(proc);
+                    let dominators = DominatorTree::build(&cfg);
+                    black_box(LoopForest::build(&cfg, &dominators));
+                }
+            }),
+        ),
+        (
+            "interval-partition".into(),
+            Box::new(|program| {
+                for proc in program.procedures() {
+                    black_box(IntervalPartition::build(&Cfg::build(proc)));
+                }
+            }),
+        ),
+        (
+            "call-graph".into(),
+            Box::new(|program| {
+                black_box(CallGraph::build(program).bottom_up_order());
+            }),
+        ),
+        (
+            "block-typing-kmeans".into(),
+            Box::new(|program| {
+                black_box(assign_block_types(program, &StaticTypingConfig::default()));
+            }),
+        ),
+    ];
+    for marking in [
+        MarkingConfig::basic_block(15, 0),
+        MarkingConfig::interval(45),
+        MarkingConfig::loop_level(45),
+    ] {
+        let config = PipelineConfig {
+            marking,
+            ..*pipeline
+        };
+        passes.push((
+            format!("prepare/{marking}"),
+            Box::new(move |program| {
+                black_box(prepare_program(program, machine, &config));
+            }),
+        ));
+    }
+    passes
 }
 
 #[cfg(test)]
@@ -1146,7 +1239,11 @@ mod tests {
             },
         };
         let report = run_study(&spec, &store, 2);
-        assert_eq!(report.rows.len(), 4, "2 engine rows + 2 thread rows");
+        assert_eq!(
+            report.rows.len(),
+            11,
+            "2 engine rows + 2 thread rows + 7 layer rows"
+        );
         let round = &report.rows[0];
         let event = &report.rows[1];
         assert_eq!(round.label, "fig4/round");
@@ -1163,6 +1260,24 @@ mod tests {
         assert_eq!(seq.label, "table1/threads=1");
         assert_eq!(seq.f64("parallel_speedup"), 1.0);
         assert!(report.rows[3].u64("cells") > 0);
+        let layers: Vec<&str> = report.rows[4..].iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(
+            layers,
+            [
+                "layer/cfg+dominators+loops",
+                "layer/interval-partition",
+                "layer/call-graph",
+                "layer/block-typing-kmeans",
+                "layer/prepare/BB[15,0]",
+                "layer/prepare/Int[45]",
+                "layer/prepare/Loop[45]",
+            ]
+        );
+        for layer in &report.rows[4..] {
+            assert!(layer.f64("wall_s") > 0.0, "{}", layer.label);
+            assert_eq!(layer.f64("sims_per_sec"), 1.0 / layer.f64("wall_s"));
+            assert!(layer.get("speedup_vs_round").is_none(), "{}", layer.label);
+        }
     }
 
     #[test]

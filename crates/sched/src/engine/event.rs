@@ -15,9 +15,9 @@
 //! rounds ahead), with a binary-heap fallback for far-future times. Pushes
 //! and pops are O(1) bucket operations in the common case instead of
 //! O(log n) heap sifts, and all events sharing a timestamp are drained into
-//! one reusable batch and applied in a single pass per iteration. The plain
-//! binary-heap [`EventQueue`] is kept as the ordering reference (the bucket
-//! queue must pop in exactly its order — see the property tests).
+//! one reusable batch and applied in a single pass per iteration. The
+//! property tests hold the bucket queue to exactly the pop order of a plain
+//! binary heap over the same events.
 //!
 //! Time jumps from event to event, so rounds in which no core could act
 //! (bursty arrival gaps, horizon tails with future-only work) cost nothing.
@@ -132,58 +132,6 @@ impl Ord for Event {
     }
 }
 
-/// A min-heap of simulation events, popped in (timestamp, kind, core,
-/// insertion) order. Timestamps must be finite.
-///
-/// This is the ordering *reference*: the driver runs on the calendar-style
-/// [`BucketQueue`], whose pop order must match this heap exactly (enforced by
-/// property tests over arbitrary push/pop interleavings).
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<std::cmp::Reverse<Event>>,
-    next_seq: u64,
-}
-
-impl EventQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules an event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time_ns` is not finite.
-    pub fn push(&mut self, time_ns: f64, kind: EventKind) {
-        assert!(time_ns.is_finite(), "event time must be finite");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap
-            .push(std::cmp::Reverse(Event { time_ns, kind, seq }));
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop().map(|std::cmp::Reverse(e)| e)
-    }
-
-    /// The timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|std::cmp::Reverse(e)| e.time_ns)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 /// Number of per-round buckets the calendar window spans. Driver-scheduled
 /// events land at most a few rounds ahead (the next quantum, the next
 /// balance/sample tick); only bursty far-future release times overflow to the
@@ -191,8 +139,7 @@ impl EventQueue {
 const BUCKET_WINDOW: usize = 256;
 
 /// A calendar queue over round-width time buckets with a binary-heap overflow
-/// for far-future events; pops in exactly the same (timestamp, kind, core,
-/// insertion) order as [`EventQueue`].
+/// for far-future events; pops in (timestamp, kind, core, insertion) order.
 ///
 /// Events within `BUCKET_WINDOW` rounds of the window base go into a dense
 /// ring of per-round buckets (push is a `Vec::push`, pop a min-scan of one
@@ -506,43 +453,6 @@ pub(crate) fn run<H: PhaseHook + IntervalHook>(mut core: EngineCore<H>) -> SimRe
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn drain(queue: &mut BucketQueue) -> Vec<(f64, EventKind)> {
-        std::iter::from_fn(|| queue.pop())
-            .map(|e| (e.time_ns(), e.kind()))
-            .collect()
-    }
-
-    #[test]
-    fn bucket_queue_matches_heap_order_on_a_mixed_schedule() {
-        let width = 20_000.0;
-        let mut bucket = BucketQueue::new(width);
-        let mut heap = EventQueue::new();
-        let pushes = [
-            (40_000.0, EventKind::QuantumExpiry { core: CoreId(1) }),
-            (40_000.0, EventKind::JobArrival { core: CoreId(0) }),
-            (40_000.0, EventKind::LoadBalance),
-            (20_000.0, EventKind::QuantumExpiry { core: CoreId(0) }),
-            // Far beyond the 256-round window: overflow heap.
-            (width * 10_000.0, EventKind::JobArrival { core: CoreId(2) }),
-            (40_000.0, EventKind::SampleInterval),
-            (
-                width * 9_000.0,
-                EventKind::QuantumExpiry { core: CoreId(3) },
-            ),
-        ];
-        for (t, k) in pushes {
-            bucket.push(t, k);
-            heap.push(t, k);
-        }
-        assert_eq!(bucket.len(), heap.len());
-        let got = drain(&mut bucket);
-        let want: Vec<(f64, EventKind)> = std::iter::from_fn(|| heap.pop())
-            .map(|e| (e.time_ns(), e.kind()))
-            .collect();
-        assert_eq!(got, want);
-        assert!(bucket.is_empty());
-    }
 
     #[test]
     fn drain_at_earliest_batches_exactly_one_timestamp() {

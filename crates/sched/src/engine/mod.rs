@@ -40,7 +40,7 @@ pub(crate) mod round;
 
 use dense::DenseProgram;
 
-pub use event::{BucketQueue, Event, EventKind, EventQueue};
+pub use event::{BucketQueue, Event, EventKind};
 
 #[derive(Debug, Default)]
 pub(crate) struct CoreState {

@@ -22,7 +22,7 @@
 //! * [`Simulation`] — the machine + scheduler simulation producing
 //!   [`SimResult`]s with per-process records and throughput windows, run by
 //!   either the reference round-based engine or the default event-driven
-//!   engine ([`EngineKind`], [`BucketQueue`], [`EventQueue`]);
+//!   engine ([`EngineKind`], [`BucketQueue`]);
 //! * [`run_in_isolation`] — single-benchmark runs for Table 1 and the
 //!   stretch metric's isolated processing times, a thin wrapper over the
 //!   same engine path.
@@ -37,7 +37,7 @@ mod interp;
 mod process;
 mod sim;
 
-pub use engine::{BucketQueue, Event, EventKind, EventQueue};
+pub use engine::{BucketQueue, Event, EventKind};
 pub use hooks::{
     AllCoresHook, IntervalHook, IntervalObservation, MarkContext, MarkResponse, NullHook,
     PhaseHook, SectionObservation,

@@ -77,8 +77,8 @@ impl ProcessStats {
     }
 }
 
-/// One elapsed sampling interval's raw counters, rolled out of the table by
-/// [`ProcessTable::roll_interval`].
+/// One elapsed sampling interval's raw counters, rolled out of the process
+/// table at each sampling tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalCounters {
     /// Zero-based index of the emitted observation.

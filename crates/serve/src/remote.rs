@@ -30,7 +30,8 @@ pub struct RemoteSyncStats {
     /// responses), one line each.
     pub errors: Vec<String>,
     /// Wall-clock nanoseconds of each `artifact-get` round trip (empty for
-    /// a push) — the remote-cache hit latency `bench_store` reports.
+    /// a push); `bench_store` reports their p50/p99 as its `remote_cache`
+    /// hit latency.
     pub get_latency_ns: Vec<u64>,
 }
 

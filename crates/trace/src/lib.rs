@@ -9,10 +9,10 @@
 //!
 //! Records carry no wall-clock ordering guarantees across threads; instead
 //! every record is stamped with a logical coordinate `(trace_id, lane,
-//! scope, seq)` assigned from the installed [`TraceCtx`], and exports sort by
-//! that coordinate. Simulated-time events therefore serialize bit-identically
-//! whatever the worker-thread count — the property the golden-trace and
-//! thread-equivalence tests pin.
+//! scope, seq)` assigned from the context set by [`install`], and exports
+//! sort by that coordinate. Simulated-time events therefore serialize
+//! bit-identically whatever the worker-thread count — the property the
+//! golden-trace and thread-equivalence tests pin.
 //!
 //! The crate is dependency-free by design (it sits below `phase-sched` in
 //! the workspace layering); NDJSON rendering of [`TraceRecord`]s lives in

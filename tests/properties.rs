@@ -1,6 +1,10 @@
 //! Property-based tests over the core data structures and analyses:
 //! control-flow invariants on arbitrary generated procedures, clustering and
-//! statistics invariants, and affinity-mask algebra.
+//! statistics invariants, affinity-mask algebra, and the simulator's event
+//! queue against a binary-heap reference.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 
@@ -11,6 +15,7 @@ use phase_tuning::substrate::ir::{
     BlockId, BranchBehavior, Instruction, Location, ProcId, Procedure, ProcedureBuilder, Terminator,
 };
 use phase_tuning::substrate::metrics::SummaryStats;
+use phase_tuning::substrate::sched::{BucketQueue, EventKind};
 
 /// Builds an arbitrary (possibly irreducible) procedure with `block_count`
 /// blocks whose terminators are chosen from the given selector values.
@@ -42,6 +47,90 @@ fn procedure_strategy() -> impl Strategy<Value = Procedure> {
         proptest::collection::vec((0u8..3, any::<u8>(), any::<u8>()), n)
             .prop_map(move |selectors| arbitrary_procedure(n, selectors))
     })
+}
+
+/// Event kind from a generated selector: arrival, balance tick, sampling
+/// tick, or quantum expiry.
+fn event_kind(selector: u8, core: u32) -> EventKind {
+    match selector % 4 {
+        0 => EventKind::JobArrival { core: CoreId(core) },
+        1 => EventKind::LoadBalance,
+        2 => EventKind::SampleInterval,
+        _ => EventKind::QuantumExpiry { core: CoreId(core) },
+    }
+}
+
+/// How events sharing a timestamp are ordered: by kind rank (arrivals,
+/// balance, sampling, quanta), then by core.
+fn tie_break(kind: EventKind) -> (u8, u32) {
+    match kind {
+        EventKind::JobArrival { core } => (0, core.0),
+        EventKind::LoadBalance => (1, 0),
+        EventKind::SampleInterval => (2, 0),
+        EventKind::QuantumExpiry { core } => (3, core.0),
+    }
+}
+
+/// One event in the reference heap; `seq` is its insertion number.
+#[derive(Debug, Clone, Copy)]
+struct HeapEvent {
+    time_ns: f64,
+    kind: EventKind,
+    seq: u64,
+}
+
+impl Ord for HeapEvent {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.time_ns
+            .total_cmp(&other.time_ns)
+            .then_with(|| tie_break(self.kind).cmp(&tie_break(other.kind)))
+            .then_with(|| self.seq.cmp(&other.seq))
+    }
+}
+
+impl PartialOrd for HeapEvent {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for HeapEvent {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for HeapEvent {}
+
+/// The ordering reference the engine's `BucketQueue` is held to: a plain
+/// binary min-heap popping in (timestamp, kind rank, core, insertion) order.
+#[derive(Default)]
+struct HeapQueue {
+    heap: BinaryHeap<Reverse<HeapEvent>>,
+    next_seq: u64,
+}
+
+impl HeapQueue {
+    fn push(&mut self, time_ns: f64, kind: EventKind) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse(HeapEvent { time_ns, kind, seq }));
+    }
+
+    fn pop(&mut self) -> Option<(f64, EventKind)> {
+        self.heap
+            .pop()
+            .map(|Reverse(event)| (event.time_ns, event.kind))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
+
+/// Pops the bucket queue's next event as a `(time, kind)` pair.
+fn pop_bucket(queue: &mut BucketQueue) -> Option<(f64, EventKind)> {
+    queue.pop().map(|event| (event.time_ns(), event.kind()))
 }
 
 proptest! {
@@ -190,36 +279,17 @@ proptest! {
     fn event_queue_pops_in_timestamp_order(
         events in proptest::collection::vec((0u64..50, 0u8..4, 0u32..4), 1..80),
     ) {
-        use phase_tuning::substrate::sched::{EventKind, EventQueue};
-
-        let mut queue = EventQueue::new();
+        let mut queue = BucketQueue::new(20_000.0);
         for &(slot, kind, core) in &events {
-            let time_ns = slot as f64 * 20_000.0;
-            let kind = match kind {
-                0 => EventKind::JobArrival { core: CoreId(core) },
-                1 => EventKind::LoadBalance,
-                2 => EventKind::SampleInterval,
-                _ => EventKind::QuantumExpiry { core: CoreId(core) },
-            };
-            queue.push(time_ns, kind);
+            queue.push(slot as f64 * 20_000.0, event_kind(kind, core));
         }
         prop_assert_eq!(queue.len(), events.len());
 
-        let rank = |kind: EventKind| match kind {
-            EventKind::JobArrival { .. } => 0u8,
-            EventKind::LoadBalance => 1,
-            EventKind::SampleInterval => 2,
-            EventKind::QuantumExpiry { .. } => 3,
-        };
-        let core_of = |kind: EventKind| match kind {
-            EventKind::JobArrival { core } | EventKind::QuantumExpiry { core } => core.0,
-            EventKind::LoadBalance | EventKind::SampleInterval => 0,
-        };
-        let mut previous: Option<(f64, u8, u32)> = None;
+        let mut previous: Option<(f64, (u8, u32))> = None;
         let mut popped = 0usize;
-        while let Some(event) = queue.pop() {
+        while let Some((time_ns, kind)) = pop_bucket(&mut queue) {
             popped += 1;
-            let key = (event.time_ns(), rank(event.kind()), core_of(event.kind()));
+            let key = (time_ns, tie_break(kind));
             if let Some(prev) = previous {
                 prop_assert!(
                     prev <= key,
@@ -245,22 +315,15 @@ proptest! {
             1..100,
         ),
     ) {
-        use phase_tuning::substrate::sched::{BucketQueue, EventKind, EventQueue};
-
         const WIDTH_NS: f64 = 20_000.0;
-        let mut heap = EventQueue::new();
+        let mut heap = HeapQueue::default();
         let mut bucket = BucketQueue::new(WIDTH_NS);
         for &(op, horizon, step, kind, core) in &ops {
             if op == 0 {
                 // A quarter of the ops pop mid-stream; popping advances the
                 // calendar's base, so later pushes may land behind it.
                 let reference = heap.pop();
-                let candidate = bucket.pop();
-                prop_assert_eq!(reference.is_some(), candidate.is_some());
-                if let (Some(a), Some(b)) = (reference, candidate) {
-                    prop_assert_eq!(a.time_ns(), b.time_ns());
-                    prop_assert_eq!(a.kind(), b.kind());
-                }
+                prop_assert_eq!(pop_bucket(&mut bucket), reference);
             } else {
                 let base = match horizon {
                     0 => 0.0,                // the live bucket
@@ -270,31 +333,55 @@ proptest! {
                 };
                 // Fractional offsets: times need not be round-aligned.
                 let time_ns = base + f64::from(step) * WIDTH_NS / 8.0;
-                let kind = match kind {
-                    0 => EventKind::JobArrival { core: CoreId(core) },
-                    1 => EventKind::LoadBalance,
-                    2 => EventKind::SampleInterval,
-                    _ => EventKind::QuantumExpiry { core: CoreId(core) },
-                };
-                heap.push(time_ns, kind);
-                bucket.push(time_ns, kind);
+                heap.push(time_ns, event_kind(kind, core));
+                bucket.push(time_ns, event_kind(kind, core));
             }
         }
-        prop_assert_eq!(heap.len(), bucket.len());
+        prop_assert_eq!(bucket.len(), heap.len());
         loop {
             let reference = heap.pop();
-            let candidate = bucket.pop();
-            prop_assert_eq!(reference.is_some(), candidate.is_some());
-            match (reference, candidate) {
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!(a.time_ns(), b.time_ns());
-                    prop_assert_eq!(a.kind(), b.kind());
-                }
-                _ => break,
+            prop_assert_eq!(pop_bucket(&mut bucket), reference);
+            if reference.is_none() {
+                break;
             }
         }
         prop_assert!(bucket.is_empty());
     }
+}
+
+/// A fixed mixed schedule: same-timestamp ties of every kind, plus two
+/// events far beyond the calendar window that start in the overflow heap.
+#[test]
+fn bucket_queue_matches_heap_order_on_a_mixed_schedule() {
+    let width = 20_000.0;
+    let mut bucket = BucketQueue::new(width);
+    let mut heap = HeapQueue::default();
+    let pushes = [
+        (40_000.0, EventKind::QuantumExpiry { core: CoreId(1) }),
+        (40_000.0, EventKind::JobArrival { core: CoreId(0) }),
+        (40_000.0, EventKind::LoadBalance),
+        (20_000.0, EventKind::QuantumExpiry { core: CoreId(0) }),
+        // Far beyond the 256-round window: overflow heap.
+        (width * 10_000.0, EventKind::JobArrival { core: CoreId(2) }),
+        (40_000.0, EventKind::SampleInterval),
+        (
+            width * 9_000.0,
+            EventKind::QuantumExpiry { core: CoreId(3) },
+        ),
+    ];
+    for (t, k) in pushes {
+        bucket.push(t, k);
+        heap.push(t, k);
+    }
+    assert_eq!(bucket.len(), heap.len());
+    let got: Vec<_> = std::iter::from_fn(|| pop_bucket(&mut bucket)).collect();
+    let want: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
+    assert_eq!(got, want);
+    assert!(bucket.is_empty());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The event-driven engine never completes a process before its arrival,
     /// never starts a released job early, and completes every job when run
