@@ -87,8 +87,10 @@ pub fn render(report: &StudyReport) -> String {
 // --- Engine perf gate: BENCH_engine.json. ---
 
 /// The engine/driver wall-clock study behind `bench_engine` and the CI
-/// sims/sec perf gate: both engines on the fig4 and bursty workloads, then
-/// the driver on the Table 1 isolation plan at 1 and 4 workers.
+/// sims/sec perf gate: both engines on the fig4 and bursty workloads and on
+/// the fig4 workload's `BB[15,0]`-marked binaries under the tuner
+/// (`fig4-marked/*`, the phase-mark path), then the driver on the Table 1
+/// isolation plan at 1 and 4 workers.
 ///
 /// Under `--perf` every knob is pinned (scale 0.5, 84 slots, catalogue seed
 /// 7, workload seeds 84/21, 5 samples) regardless of `--quick`/`--slots`, so
@@ -166,7 +168,9 @@ pub fn render_engine(report: &StudyReport) -> String {
     body(
         &table,
         "sims/sec: full simulations per wall-clock second (best of N samples); \
-         engine rows are one simulation each, table1 rows one isolation plan,\n\
+         engine rows are one simulation each,\n\
+         fig4-marked rows run BB[15,0]-marked binaries under the tuner, table1 rows one \
+         isolation plan,\n\
          layer rows one pass of a static-pipeline stage over the catalogue.",
     )
 }

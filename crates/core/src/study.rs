@@ -21,8 +21,8 @@ use phase_cfg::{CallGraph, Cfg, DominatorTree, IntervalPartition, LoopForest};
 use phase_ir::Program;
 use phase_marking::{InstrumentedProgram, MarkingConfig};
 use phase_metrics::SummaryStats;
-use phase_runtime::TunerConfig;
-use phase_sched::{EngineKind, NullHook, SimConfig};
+use phase_runtime::{PhaseTuner, TunerConfig};
+use phase_sched::{EngineKind, IntervalHook, JobSpec, NullHook, PhaseHook, SimConfig};
 use phase_workload::{CatalogSpec, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
@@ -296,9 +296,13 @@ pub enum StudyMode {
     /// Wall-clock engine and driver throughput (the continuous perf gate).
     /// For every workload × engine pair: one row with `wall_s` (best of
     /// `samples`), `sims_per_sec` (full simulations per second, `1 / wall_s`),
-    /// `instructions` and `minstr_per_s`; event rows add `speedup_vs_round`
-    /// and assert bit-identical committed work against the round engine. For
-    /// every driver thread count: one `table1/threads=N` row with `wall_s`,
+    /// `instructions`, `marks_executed` and `minstr_per_s`; event rows add
+    /// `speedup_vs_round` and assert identical committed work and marks
+    /// against the round engine. The first workload then runs again on
+    /// `BB[15,0]`-marked binaries under a [`PhaseTuner`] built from `tuner`
+    /// (rows `<name>-marked/round` and `<name>-marked/event`), so the phase
+    /// mark path is timed too; the other engine rows run unmarked binaries
+    /// with no hook and execute no marks. For every driver thread count: one `table1/threads=N` row with `wall_s`,
     /// `cells`, `sims_per_sec` (cells per second) and `parallel_speedup`
     /// versus the first listed count. Then seven `layer/<stage>` rows, each
     /// timing one pass of a static-pipeline stage over every program in
@@ -968,8 +972,9 @@ fn best_of<S, R>(
     (best, last.expect("at least one sample ran"))
 }
 
-/// Times both engines on each workload, the driver on the isolation plan,
-/// and each static-pipeline layer over the engine catalogue. Setup (slot and
+/// Times both engines on each workload (and on the first workload's
+/// basic-block-marked binaries under the tuner), the driver on the isolation
+/// plan, and each static-pipeline layer over the engine catalogue. Setup (slot and
 /// machine clones, plan construction) stays outside every timed region: the
 /// rows measure simulation and analysis throughput, nothing else.
 #[allow(clippy::too_many_arguments)]
@@ -996,44 +1001,47 @@ fn engine_perf(
     for perf in workloads {
         let workload = perf.workload.build(&catalog);
         let slots = build_slots(&workload, &catalog, &plain);
-        let mut round = None::<(f64, u64)>;
-        for engine in [EngineKind::RoundBased, EngineKind::EventDriven] {
-            let config = SimConfig {
-                engine,
-                horizon_ns: perf.horizon_ns,
-                ..*sim
-            };
-            let (best, result) = best_of(
-                samples,
-                || (machine.clone(), slots.clone()),
-                |(machine, slots)| run_with_hook("engine-perf", machine, slots, NullHook, config),
-            );
-            let engine_name = match engine {
-                EngineKind::RoundBased => "round",
-                EngineKind::EventDriven => "event",
-            };
-            let mut row = StudyRow::new(format!("{}/{engine_name}", perf.name))
-                .metric("engine", MetricValue::Text(engine_name.into()))
-                .metric("wall_s", MetricValue::Float(best))
-                .metric("sims_per_sec", MetricValue::Float(1.0 / best))
-                .metric("instructions", MetricValue::UInt(result.total_instructions))
-                .metric(
-                    "minstr_per_s",
-                    MetricValue::Float(result.total_instructions as f64 / best / 1e6),
-                );
-            match round {
-                None => round = Some((best, result.total_instructions)),
-                Some((round_s, round_instructions)) => {
-                    assert_eq!(
-                        round_instructions, result.total_instructions,
-                        "engines must commit identical work on '{}'",
-                        perf.name
-                    );
-                    row = row.metric("speedup_vs_round", MetricValue::Float(round_s / best));
-                }
-            }
-            rows.push(row);
-        }
+        let config = SimConfig {
+            horizon_ns: perf.horizon_ns,
+            ..*sim
+        };
+        engine_rows(
+            &mut rows,
+            &perf.name,
+            machine,
+            &slots,
+            || NullHook,
+            config,
+            samples,
+        );
+    }
+    // The mark path: the first workload again, on basic-block-marked
+    // binaries under the tuner, so executed marks carry the host cost.
+    if let Some(perf) = workloads.first() {
+        let marked_pipeline = PipelineConfig {
+            marking: MarkingConfig::basic_block(15, 0),
+            ..*pipeline
+        };
+        let marked: Vec<Arc<InstrumentedProgram>> = catalog
+            .benchmarks()
+            .iter()
+            .map(|b| store.instrumented(b.program(), machine, &marked_pipeline))
+            .collect();
+        let slots = build_slots(&perf.workload.build(&catalog), &catalog, &marked);
+        let tuner_machine = Arc::new(machine.clone());
+        let config = SimConfig {
+            horizon_ns: perf.horizon_ns,
+            ..*sim
+        };
+        engine_rows(
+            &mut rows,
+            &format!("{}-marked", perf.name),
+            machine,
+            &slots,
+            || PhaseTuner::new(Arc::clone(&tuner_machine), *tuner),
+            config,
+            samples,
+        );
     }
 
     if !thread_counts.is_empty() {
@@ -1087,6 +1095,62 @@ fn engine_perf(
         );
     }
     rows
+}
+
+/// Times both engines on the same slots, each run under a fresh `hook()`,
+/// and pushes a `<name>/round` and a `<name>/event` row. The event row adds
+/// `speedup_vs_round` and asserts that both engines committed identical
+/// instructions and executed identical marks.
+fn engine_rows<H: PhaseHook + IntervalHook>(
+    rows: &mut Vec<StudyRow>,
+    name: &str,
+    machine: &MachineSpec,
+    slots: &[Vec<JobSpec>],
+    hook: impl Fn() -> H,
+    config: SimConfig,
+    samples: usize,
+) {
+    let mut round = None::<(f64, u64, u64)>;
+    for engine in [EngineKind::RoundBased, EngineKind::EventDriven] {
+        let config = SimConfig { engine, ..config };
+        let (best, result) = best_of(
+            samples,
+            || (machine.clone(), slots.to_vec(), hook()),
+            |(machine, slots, hook)| run_with_hook("engine-perf", machine, slots, hook, config),
+        );
+        let engine_name = match engine {
+            EngineKind::RoundBased => "round",
+            EngineKind::EventDriven => "event",
+        };
+        let mut row = StudyRow::new(format!("{name}/{engine_name}"))
+            .metric("engine", MetricValue::Text(engine_name.into()))
+            .metric("wall_s", MetricValue::Float(best))
+            .metric("sims_per_sec", MetricValue::Float(1.0 / best))
+            .metric("instructions", MetricValue::UInt(result.total_instructions))
+            .metric(
+                "marks_executed",
+                MetricValue::UInt(result.total_marks_executed),
+            )
+            .metric(
+                "minstr_per_s",
+                MetricValue::Float(result.total_instructions as f64 / best / 1e6),
+            );
+        match round {
+            None => round = Some((best, result.total_instructions, result.total_marks_executed)),
+            Some((round_s, round_instructions, round_marks)) => {
+                assert_eq!(
+                    round_instructions, result.total_instructions,
+                    "engines must commit identical work on '{name}'"
+                );
+                assert_eq!(
+                    round_marks, result.total_marks_executed,
+                    "engines must execute identical marks on '{name}'"
+                );
+                row = row.metric("speedup_vs_round", MetricValue::Float(round_s / best));
+            }
+        }
+        rows.push(row);
+    }
 }
 
 /// One static-pipeline stage applied to one program, its output discarded
@@ -1241,8 +1305,8 @@ mod tests {
         let report = run_study(&spec, &store, 2);
         assert_eq!(
             report.rows.len(),
-            11,
-            "2 engine rows + 2 thread rows + 7 layer rows"
+            13,
+            "2 engine rows + 2 marked engine rows + 2 thread rows + 7 layer rows"
         );
         let round = &report.rows[0];
         let event = &report.rows[1];
@@ -1253,14 +1317,32 @@ mod tests {
             event.u64("instructions"),
             "engines committed identical work"
         );
+        assert_eq!(event.u64("marks_executed"), 0, "unmarked binaries");
         assert!(round.f64("sims_per_sec") > 0.0);
         assert!(event.f64("speedup_vs_round") > 0.0);
         assert!(round.get("speedup_vs_round").is_none());
-        let seq = &report.rows[2];
+        let (marked_round, marked_event) = (&report.rows[2], &report.rows[3]);
+        assert_eq!(marked_round.label, "fig4-marked/round");
+        assert_eq!(marked_event.label, "fig4-marked/event");
+        for row in [marked_round, marked_event] {
+            assert!(row.u64("marks_executed") > 0, "{}", row.label);
+            assert!(row.f64("minstr_per_s") > 0.0, "{}", row.label);
+        }
+        assert_eq!(
+            marked_round.u64("marks_executed"),
+            marked_event.u64("marks_executed")
+        );
+        assert_eq!(
+            marked_round.u64("instructions"),
+            marked_event.u64("instructions")
+        );
+        assert!(marked_event.f64("speedup_vs_round") > 0.0);
+        assert!(marked_round.get("speedup_vs_round").is_none());
+        let seq = &report.rows[4];
         assert_eq!(seq.label, "table1/threads=1");
         assert_eq!(seq.f64("parallel_speedup"), 1.0);
-        assert!(report.rows[3].u64("cells") > 0);
-        let layers: Vec<&str> = report.rows[4..].iter().map(|r| r.label.as_str()).collect();
+        assert!(report.rows[5].u64("cells") > 0);
+        let layers: Vec<&str> = report.rows[6..].iter().map(|r| r.label.as_str()).collect();
         assert_eq!(
             layers,
             [
@@ -1273,7 +1355,7 @@ mod tests {
                 "layer/prepare/Loop[45]",
             ]
         );
-        for layer in &report.rows[4..] {
+        for layer in &report.rows[6..] {
             assert!(layer.f64("wall_s") > 0.0, "{}", layer.label);
             assert_eq!(layer.f64("sims_per_sec"), 1.0 / layer.f64("wall_s"));
             assert!(layer.get("speedup_vs_round").is_none(), "{}", layer.label);
