@@ -302,9 +302,10 @@ pub enum StudyMode {
     /// `BB[15,0]`-marked binaries under a [`PhaseTuner`] built from `tuner`
     /// (rows `<name>-marked/round` and `<name>-marked/event`), so the phase
     /// mark path is timed too; the other engine rows run unmarked binaries
-    /// with no hook and execute no marks. For every driver thread count: one `table1/threads=N` row with `wall_s`,
-    /// `cells`, `sims_per_sec` (cells per second) and `parallel_speedup`
-    /// versus the first listed count. Then seven `layer/<stage>` rows, each
+    /// with no hook and execute no marks. For every driver thread count:
+    /// one `table1/threads=N` row with `wall_s`, `cells`, `sims_per_sec`
+    /// (cells per second) and `parallel_speedup` versus the first listed
+    /// count. Then seven `layer/<stage>` rows, each
     /// timing one pass of a static-pipeline stage over every program in
     /// `catalog` (`cfg+dominators+loops`, `interval-partition`, `call-graph`,
     /// `block-typing-kmeans`, and `prepare/<marking>` for one basic-block,
@@ -974,9 +975,9 @@ fn best_of<S, R>(
 
 /// Times both engines on each workload (and on the first workload's
 /// basic-block-marked binaries under the tuner), the driver on the isolation
-/// plan, and each static-pipeline layer over the engine catalogue. Setup (slot and
-/// machine clones, plan construction) stays outside every timed region: the
-/// rows measure simulation and analysis throughput, nothing else.
+/// plan, and each static-pipeline layer over the engine catalogue. Setup
+/// (slot and machine clones, plan construction) stays outside every timed
+/// region: the rows measure simulation and analysis throughput, nothing else.
 #[allow(clippy::too_many_arguments)]
 fn engine_perf(
     store: &ArtifactStore,

@@ -7,8 +7,14 @@
 //! every mark of that type "reduces to simply making appropriate core
 //! switching decisions" (Section II) and monitoring stops — the positional,
 //! monitor-once behaviour that keeps the runtime overhead negligible.
+//!
+//! A decided mark is a table read: the process's state is indexed by pid,
+//! its assignments sit in a small ordered map, and the machine's kinds,
+//! fastest kind and affinity masks are computed once, when the tuner is
+//! built. It hashes nothing and allocates nothing; `tests/mark_path_alloc.rs` counts
+//! the allocations of 10 000 decided marks and expects zero.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -117,10 +123,11 @@ impl IpcAccumulator {
 
 #[derive(Debug, Default)]
 struct ProcessTuning {
-    /// Observed IPC per (phase type, core kind).
-    samples: HashMap<(PhaseType, CoreKind), IpcAccumulator>,
+    /// Observed IPC per (phase type, core kind). A process meets a handful
+    /// of phase types, so an ordered map's short scan beats hashing.
+    samples: BTreeMap<(PhaseType, CoreKind), IpcAccumulator>,
     /// Decided assignments per phase type.
-    assignments: HashMap<PhaseType, CoreKind>,
+    assignments: BTreeMap<PhaseType, CoreKind>,
     /// Phase type currently being monitored (a counter slot is held).
     monitoring: Option<PhaseType>,
     /// Slot handle held while monitoring.
@@ -132,10 +139,139 @@ struct ProcessTuning {
     sampling_pinned: bool,
 }
 
+impl ProcessTuning {
+    /// Closes out the monitoring armed at the previous mark, recording the
+    /// completed section if it is a representative one of the monitored type.
+    fn finish_monitoring(
+        &mut self,
+        observation: Option<&SectionObservation>,
+        config: &TunerConfig,
+        counters: &mut CounterBank,
+        stats: &mut TunerStats,
+    ) {
+        let Some(monitored_type) = self.monitoring.take() else {
+            return;
+        };
+        if let Some(slot) = self.counter_slot.take() {
+            counters.release(slot);
+        }
+        let Some(observation) = observation else {
+            return;
+        };
+        if observation.phase_type != monitored_type
+            || observation.instructions < config.min_section_instructions
+        {
+            return;
+        }
+        self.samples
+            .entry((monitored_type, observation.core_kind))
+            .or_default()
+            .record(observation);
+        stats.sections_monitored += 1;
+    }
+
+    /// Decides the assignment for a phase type if enough samples exist.
+    fn try_decide(
+        &mut self,
+        phase_type: PhaseType,
+        machine: &MachineSpec,
+        facts: &MachineFacts,
+        config: &TunerConfig,
+        stats: &mut TunerStats,
+    ) -> Option<CoreKind> {
+        if let Some(kind) = self.assignments.get(&phase_type) {
+            return Some(*kind);
+        }
+        let enough = facts.kinds.iter().all(|(kind, _)| {
+            self.samples
+                .get(&(phase_type, *kind))
+                .is_some_and(|acc| acc.sections >= config.samples_per_kind)
+        });
+        if !enough {
+            return None;
+        }
+        let observations: Vec<ObservedIpc> = facts
+            .kinds
+            .iter()
+            .map(|(kind, _)| ObservedIpc {
+                kind: *kind,
+                ipc: self.samples[&(phase_type, *kind)].ipc(),
+            })
+            .collect();
+        let chosen = select_core_kind(machine, &observations, config.ipc_threshold)?;
+        self.assignments.insert(phase_type, chosen);
+        stats.assignments_decided += 1;
+        Some(chosen)
+    }
+
+    /// The core kind this phase type still needs samples from, preferring the
+    /// kind the process is currently on.
+    fn kind_needing_samples(
+        &self,
+        phase_type: PhaseType,
+        current: CoreKind,
+        facts: &MachineFacts,
+        config: &TunerConfig,
+    ) -> Option<CoreKind> {
+        let needs = |kind: CoreKind| {
+            self.samples
+                .get(&(phase_type, kind))
+                .is_none_or(|acc| acc.sections < config.samples_per_kind)
+        };
+        if needs(current) {
+            return Some(current);
+        }
+        facts
+            .kinds
+            .iter()
+            .map(|(kind, _)| *kind)
+            .find(|kind| needs(*kind))
+    }
+}
+
+/// The [`MachineSpec`] facts the mark path reads, computed once per tuner so
+/// a mark never rebuilds a kind list or a core list.
+#[derive(Debug)]
+struct MachineFacts {
+    /// Every distinct core kind, ordered by kind id, with the mask of its
+    /// cores.
+    kinds: Vec<(CoreKind, AffinityMask)>,
+    fastest: CoreKind,
+    all_cores: AffinityMask,
+    core_count: usize,
+}
+
+impl MachineFacts {
+    fn new(machine: &MachineSpec) -> Self {
+        Self {
+            kinds: machine
+                .kinds()
+                .into_iter()
+                .map(|kind| (kind, AffinityMask::kind(machine, kind)))
+                .collect(),
+            fastest: machine.fastest_kind(),
+            all_cores: AffinityMask::all_cores(machine),
+            core_count: machine.core_count(),
+        }
+    }
+
+    /// The mask of every core of `kind` (empty for a kind the machine lacks,
+    /// as [`AffinityMask::kind`] gives).
+    fn kind_mask(&self, kind: CoreKind) -> AffinityMask {
+        self.kinds
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map_or(AffinityMask::from_cores([]), |(_, mask)| *mask)
+    }
+}
+
 struct TunerInner {
     machine: Arc<MachineSpec>,
+    facts: MachineFacts,
     config: TunerConfig,
-    processes: HashMap<Pid, ProcessTuning>,
+    /// Per-process state indexed by pid (pids are dense spawn indices);
+    /// `None` before a process starts and after it exits.
+    processes: Vec<Option<ProcessTuning>>,
     counters: CounterBank,
     stats: TunerStats,
 }
@@ -170,9 +306,10 @@ impl PhaseTuner {
         let counters = CounterBank::new(config.counter_slots.max(1));
         Self {
             inner: Arc::new(Mutex::new(TunerInner {
+                facts: MachineFacts::new(&machine),
                 machine,
                 config,
-                processes: HashMap::new(),
+                processes: Vec::new(),
                 counters,
                 stats: TunerStats::default(),
             })),
@@ -190,7 +327,8 @@ impl PhaseTuner {
         self.inner
             .lock()
             .processes
-            .get(&pid)
+            .get(pid.index())
+            .and_then(Option::as_ref)
             .and_then(|p| p.assignments.get(&phase_type).copied())
     }
 }
@@ -201,89 +339,18 @@ impl std::fmt::Debug for PhaseTuner {
         f.debug_struct("PhaseTuner")
             .field("config", &inner.config)
             .field("stats", &inner.stats)
-            .field("processes", &inner.processes.len())
+            .field("processes", &inner.processes.iter().flatten().count())
             .finish()
     }
 }
 
-impl TunerInner {
-    fn finish_monitoring(&mut self, pid: Pid, observation: Option<&SectionObservation>) {
-        let Some(state) = self.processes.get_mut(&pid) else {
-            return;
-        };
-        let Some(monitored_type) = state.monitoring.take() else {
-            return;
-        };
-        if let Some(slot) = state.counter_slot.take() {
-            self.counters.release(slot);
-        }
-        let Some(observation) = observation else {
-            return;
-        };
-        if observation.phase_type != monitored_type
-            || observation.instructions < self.config.min_section_instructions
-        {
-            return;
-        }
-        state
-            .samples
-            .entry((monitored_type, observation.core_kind))
-            .or_default()
-            .record(observation);
-        self.stats.sections_monitored += 1;
+/// The tuning state of `pid`, created empty if the process has none yet.
+fn process_state(processes: &mut Vec<Option<ProcessTuning>>, pid: Pid) -> &mut ProcessTuning {
+    let index = pid.index();
+    if index >= processes.len() {
+        processes.resize_with(index + 1, || None);
     }
-
-    /// Decides the assignment for a phase type if enough samples exist.
-    fn try_decide(&mut self, pid: Pid, phase_type: PhaseType) -> Option<CoreKind> {
-        let kinds = self.machine.kinds();
-        let state = self.processes.get_mut(&pid)?;
-        if let Some(kind) = state.assignments.get(&phase_type) {
-            return Some(*kind);
-        }
-        let enough = kinds.iter().all(|kind| {
-            state
-                .samples
-                .get(&(phase_type, *kind))
-                .map(|acc| acc.sections >= self.config.samples_per_kind)
-                .unwrap_or(false)
-        });
-        if !enough {
-            return None;
-        }
-        let observations: Vec<ObservedIpc> = kinds
-            .iter()
-            .map(|kind| ObservedIpc {
-                kind: *kind,
-                ipc: state.samples[&(phase_type, *kind)].ipc(),
-            })
-            .collect();
-        let chosen = select_core_kind(&self.machine, &observations, self.config.ipc_threshold)?;
-        state.assignments.insert(phase_type, chosen);
-        self.stats.assignments_decided += 1;
-        Some(chosen)
-    }
-
-    /// The core kind this phase type still needs samples from, preferring the
-    /// kind the process is currently on.
-    fn kind_needing_samples(
-        &self,
-        pid: Pid,
-        phase_type: PhaseType,
-        current: CoreKind,
-    ) -> Option<CoreKind> {
-        let state = self.processes.get(&pid)?;
-        let needs = |kind: CoreKind| {
-            state
-                .samples
-                .get(&(phase_type, kind))
-                .map(|acc| acc.sections < self.config.samples_per_kind)
-                .unwrap_or(true)
-        };
-        if needs(current) {
-            return Some(current);
-        }
-        self.machine.kinds().into_iter().find(|kind| needs(*kind))
-    }
+    processes[index].get_or_insert_with(ProcessTuning::default)
 }
 
 /// The static tuner acts only at phase marks; the interval sample stream is
@@ -292,44 +359,39 @@ impl IntervalHook for PhaseTuner {}
 
 impl PhaseHook for PhaseTuner {
     fn on_process_start(&mut self, pid: Pid, _program: &InstrumentedProgram) {
-        self.inner
-            .lock()
-            .processes
-            .insert(pid, ProcessTuning::default());
+        let mut inner = self.inner.lock();
+        *process_state(&mut inner.processes, pid) = ProcessTuning::default();
     }
 
     fn on_phase_mark(&mut self, ctx: &MarkContext<'_>) -> MarkResponse {
         let mut inner = self.inner.lock();
-        inner.processes.entry(ctx.pid).or_default();
+        let TunerInner {
+            machine,
+            facts,
+            config,
+            processes,
+            counters,
+            stats,
+        } = &mut *inner;
+        let state = process_state(processes, ctx.pid);
 
         // 1. Close out any monitoring armed at the previous mark.
-        inner.finish_monitoring(ctx.pid, ctx.completed_section.as_ref());
+        state.finish_monitoring(ctx.completed_section.as_ref(), config, counters, stats);
 
         let phase_type = ctx.mark.phase_type;
 
         // 2. If the assignment is (or just became) known, this mark reduces
         //    to a core-switch decision.
-        if let Some(kind) = inner.try_decide(ctx.pid, phase_type) {
-            let was_pinned = inner
-                .processes
-                .get(&ctx.pid)
-                .map(|s| s.sampling_pinned)
-                .unwrap_or(false);
-            if let Some(state) = inner.processes.get_mut(&ctx.pid) {
-                state.sampling_pinned = false;
-            }
-            let prefers_fastest = kind == inner.machine.fastest_kind();
-            let mask = if prefers_fastest && !inner.config.pin_preferred_fast {
+        if let Some(kind) = state.try_decide(phase_type, machine, facts, config, stats) {
+            let was_pinned = std::mem::replace(&mut state.sampling_pinned, false);
+            let mask = if kind == facts.fastest && !config.pin_preferred_fast {
                 // The phase gains nothing from occupying a particular kind;
                 // hand it back to the OS so no core type starves.
-                AffinityMask::all_cores(&inner.machine)
+                facts.all_cores
             } else {
-                AffinityMask::kind(&inner.machine, kind)
+                facts.kind_mask(kind)
             };
-            if mask.allows(ctx.core)
-                && !was_pinned
-                && mask.core_count() < inner.machine.core_count()
-            {
+            if mask.allows(ctx.core) && !was_pinned && mask.core_count() < facts.core_count {
                 return MarkResponse::none();
             }
             if mask.allows(ctx.core) {
@@ -337,27 +399,21 @@ impl PhaseHook for PhaseTuner {
                 // counting a core switch.
                 return MarkResponse::switch_to(mask);
             }
-            inner.stats.switch_requests += 1;
+            stats.switch_requests += 1;
             return MarkResponse::switch_to(mask);
         }
 
         // 3. Otherwise keep gathering samples from representative sections.
-        let all_cores = AffinityMask::all_cores(&inner.machine);
-        let was_pinned = inner
-            .processes
-            .get(&ctx.pid)
-            .map(|s| s.sampling_pinned)
-            .unwrap_or(false);
-        let Some(wanted_kind) = inner.kind_needing_samples(ctx.pid, phase_type, ctx.core_kind)
+        let was_pinned = state.sampling_pinned;
+        let Some(wanted_kind) =
+            state.kind_needing_samples(phase_type, ctx.core_kind, facts, config)
         else {
             // Nothing left to sample for this type but the decision is still
             // pending (e.g. sections were too short); release any sampling
             // pin so the scheduler stays free.
             if was_pinned {
-                if let Some(state) = inner.processes.get_mut(&ctx.pid) {
-                    state.sampling_pinned = false;
-                }
-                return MarkResponse::switch_to(all_cores);
+                state.sampling_pinned = false;
+                return MarkResponse::switch_to(facts.all_cores);
             }
             return MarkResponse::none();
         };
@@ -367,12 +423,9 @@ impl PhaseHook for PhaseTuner {
             // Move the process to the kind we still need a measurement from;
             // the next mark of this type will monitor there. The pin is
             // temporary and released once the sample is in.
-            let mask = AffinityMask::kind(&inner.machine, wanted_kind);
-            inner.stats.switch_requests += 1;
-            if let Some(state) = inner.processes.get_mut(&ctx.pid) {
-                state.sampling_pinned = true;
-            }
-            response.new_affinity = Some(mask);
+            stats.switch_requests += 1;
+            state.sampling_pinned = true;
+            response.new_affinity = Some(facts.kind_mask(wanted_kind));
             return response;
         }
 
@@ -381,23 +434,17 @@ impl PhaseHook for PhaseTuner {
         // sampling is released back to every core: the upcoming section still
         // starts on this kind, which is all the measurement needs.
         if was_pinned {
-            if let Some(state) = inner.processes.get_mut(&ctx.pid) {
-                state.sampling_pinned = false;
-            }
-            response.new_affinity = Some(all_cores);
+            state.sampling_pinned = false;
+            response.new_affinity = Some(facts.all_cores);
         }
-        match inner.counters.try_acquire() {
+        match counters.try_acquire() {
             Some(slot) => {
-                let state = inner
-                    .processes
-                    .get_mut(&ctx.pid)
-                    .expect("state inserted above");
                 state.monitoring = Some(phase_type);
                 state.counter_slot = Some(slot);
                 response.monitoring = true;
             }
             None => {
-                inner.stats.monitor_waits += 1;
+                stats.monitor_waits += 1;
             }
         }
         response
@@ -405,7 +452,8 @@ impl PhaseHook for PhaseTuner {
 
     fn on_process_exit(&mut self, pid: Pid) {
         let mut inner = self.inner.lock();
-        if let Some(mut state) = inner.processes.remove(&pid) {
+        let exited = inner.processes.get_mut(pid.index()).and_then(Option::take);
+        if let Some(mut state) = exited {
             if let Some(slot) = state.counter_slot.take() {
                 inner.counters.release(slot);
             }

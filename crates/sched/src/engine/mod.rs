@@ -15,7 +15,8 @@
 //!   rounds and which cores to touch, so fully idle stretches (bursty
 //!   arrival gaps, drained queues) cost nothing. Its quantum path
 //!   (`run_core_quantum_fast`) steps pre-compiled dense control flow and a
-//!   flat per-block [`HotSlab`] arena with hoisted borrows.
+//!   flat per-block [`HotSlab`] arena with hoisted borrows, and resolves
+//!   marked edges in the slab's dense edge table instead of hashing them.
 //!
 //! Both drivers mutate the *same* `EngineCore` state with the same arithmetic
 //! in the same order, which is what makes the event-driven engine bit-for-bit
@@ -72,6 +73,14 @@ struct BlockRecord {
     flags: u8,
 }
 
+/// One marked out-edge of a block, in dense indices: the edge's target and
+/// the index of its mark in `InstrumentedProgram::marks`.
+#[derive(Debug, Clone, Copy)]
+struct MarkEdge {
+    to: u32,
+    mark: u32,
+}
+
 /// Flat per-block arena for one `(instrumented program, core kind, sharing)`
 /// context.
 ///
@@ -79,18 +88,24 @@ struct BlockRecord {
 /// executed block — a cost slab, a mark bitmap, and a mem-access table — each
 /// behind its own double indirection. One slab of [`BlockRecord`]s is
 /// resolved *once per dispatch* (one small hash) and each step is then a
-/// single dense index into one contiguous table.
+/// single dense index into one contiguous table. Marked edges resolve the
+/// same way, through a per-block table of [`MarkEdge`]s, so an executed mark
+/// hashes nothing either.
 #[derive(Debug)]
 struct HotSlab {
     /// Starting dense index of each procedure's blocks.
     block_base: Vec<usize>,
     records: Vec<BlockRecord>,
+    /// Block `b`'s marked out-edges are
+    /// `mark_edges[edge_start[b]..edge_start[b + 1]]`, in mark order.
+    edge_start: Vec<u32>,
+    mark_edges: Vec<MarkEdge>,
 }
 
 impl HotSlab {
-    /// Builds the slab with the mem-access counts and mark flags filled
-    /// eagerly (both are cheap, pure per-block facts); costs are memoised on
-    /// first execution like before.
+    /// Builds the slab with the mem-access counts, mark flags and marked
+    /// edges filled eagerly (all cheap, pure per-block facts); costs are
+    /// memoised on first execution like before.
     fn new(instrumented: &phase_marking::InstrumentedProgram) -> Self {
         let program = instrumented.program();
         let (block_base, total) = program_layout(program);
@@ -99,17 +114,54 @@ impl HotSlab {
             records[block_base[loc.proc.index()] + loc.block.index()].mem_accesses =
                 block.memory_access_count() as u32;
         }
-        for mark in instrumented.marks() {
-            records[block_base[mark.from.proc.index()] + mark.from.block.index()].flags |= HAS_MARK;
+        // A mark whose edge names a block the program lacks can never match
+        // an executed edge, so it gets neither a flag nor a table entry.
+        let dense_of = |loc: Location| {
+            program
+                .block(loc)
+                .map(|_| (block_base[loc.proc.index()] + loc.block.index()) as u32)
+        };
+        let mut edges = Vec::with_capacity(instrumented.mark_count());
+        for (index, mark) in instrumented.marks().iter().enumerate() {
+            if let (Some(from), Some(to)) = (dense_of(mark.from), dense_of(mark.to)) {
+                records[from as usize].flags |= HAS_MARK;
+                let mark = index as u32;
+                edges.push((from, MarkEdge { to, mark }));
+            }
+        }
+        // Stable, so each block's edges stay in mark order.
+        edges.sort_by_key(|(from, _)| *from);
+        let mut edge_start = vec![0u32; total + 1];
+        for (from, _) in &edges {
+            edge_start[*from as usize + 1] += 1;
+        }
+        for b in 0..total {
+            edge_start[b + 1] += edge_start[b];
         }
         Self {
             block_base,
             records,
+            edge_start,
+            mark_edges: edges.into_iter().map(|(_, edge)| edge).collect(),
         }
     }
 
     fn dense(&self, loc: Location) -> usize {
         self.block_base[loc.proc.index()] + loc.block.index()
+    }
+
+    /// The index in `InstrumentedProgram::marks` of the mark on the dense
+    /// edge `from -> to`, if any. Of two marks on one edge the later wins,
+    /// exactly as the instrumented program's own edge lookup resolves it.
+    #[inline]
+    fn edge_mark(&self, from: u32, to: u32) -> Option<usize> {
+        let edges =
+            self.edge_start[from as usize] as usize..self.edge_start[from as usize + 1] as usize;
+        self.mark_edges[edges]
+            .iter()
+            .rev()
+            .find(|edge| edge.to == to)
+            .map(|edge| edge.mark as usize)
     }
 }
 
@@ -558,9 +610,9 @@ impl<H: PhaseHook + IntervalHook> EngineCore<H> {
                         break;
                     }
                     BlockRun::MarkedEdge { next } => {
-                        let mark = instrumented
-                            .mark_on_edge(dp.location(cur), dp.location(next))
-                            .copied();
+                        let mark = self.slabs[slab_i]
+                            .edge_mark(cur, next)
+                            .map(|index| instrumented.marks()[index]);
                         cur = next;
                         if let Some(mark) = mark {
                             let now = self.clock_ns + consumed + elapsed;
@@ -1104,3 +1156,6 @@ fn run_blocks_fast(
     }
     BlockRun::Budget
 }
+
+#[cfg(test)]
+mod tests;

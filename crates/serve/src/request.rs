@@ -643,10 +643,14 @@ fn parse_spec(doc: &JsonValue) -> Result<TuneSpec, ServeError> {
             PipelineConfig::with_marking(parse_marking(marking, spec.pipeline.marking)?);
     }
     if let Some(threshold) = get_f64(doc, "ipc_threshold")? {
-        if !(threshold.is_finite() && threshold > 0.0) {
-            return Err(bad("ipc_threshold must be a positive number"));
+        // δ = 0 is a point on the paper's Figure 6 sweep: any strictly
+        // better kind wins.
+        if !(threshold.is_finite() && threshold >= 0.0) {
+            return Err(bad("ipc_threshold must be a non-negative number"));
         }
-        spec.ipc_threshold = threshold;
+        // `-0.0` passes the check; store it as `0.0` so both spellings of
+        // zero share one spec hash, and so one cache key.
+        spec.ipc_threshold = if threshold == 0.0 { 0.0 } else { threshold };
     }
     if let Some(horizon) = get_f64(doc, "horizon_ns")? {
         if !(horizon.is_finite() && horizon > 0.0 && horizon <= MAX_HORIZON_NS) {
@@ -872,6 +876,40 @@ mod tests {
             panic!("expected an error response");
         };
         assert_eq!(error.code, "unknown-field");
+    }
+
+    #[test]
+    fn ipc_threshold_accepts_zero_and_rejects_negatives() {
+        let threshold_of = |value: &str| {
+            parse_request(&format!(
+                "{{\"id\": \"r\", \"kind\": \"isolation\", \"ipc_threshold\": {value}}}"
+            ))
+        };
+        // δ = 0, as Figure 6 sweeps it; every spelling of zero is one spec.
+        let zero = threshold_of("0").unwrap();
+        assert_eq!(zero.kind.spec().unwrap().ipc_threshold, 0.0);
+        for spelling in ["0.0", "-0", "-0.0"] {
+            let same = threshold_of(spelling).unwrap();
+            let threshold = same.kind.spec().unwrap().ipc_threshold;
+            assert_eq!(threshold.to_bits(), 0.0f64.to_bits(), "{spelling}");
+            assert_eq!(same.spec_hash(), zero.spec_hash(), "{spelling}");
+        }
+        for rejected in ["-0.1", "-1e-300", "1e999", "-1e999"] {
+            let TuningResponse::Error { error, .. } = *threshold_of(rejected).unwrap_err() else {
+                panic!("expected an error response for {rejected}");
+            };
+            assert_eq!(error.code, "bad-request", "{rejected}");
+            assert_eq!(
+                error.message, "ipc_threshold must be a non-negative number",
+                "{rejected}"
+            );
+        }
+        // JSON has no NaN literal: the line fails to parse, with a
+        // structured error rather than a panic.
+        let TuningResponse::Error { error, .. } = *threshold_of("NaN").unwrap_err() else {
+            panic!("expected an error response for NaN");
+        };
+        assert!(!error.code.is_empty());
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Golden-equivalence tests: the event-driven engine must reproduce the
 //! round-based reference engine's results on real workloads.
 //!
-//! Five seeded workloads cover the interesting regimes — the paper's dense
-//! Table 1 catalogue, the mixed CPU/memory scenario family (heavy
-//! phase-transition traffic), a bursty-arrival workload (the idle
-//! stretches the event engine skips), an online-policy run with interval
-//! sampling, and a larger bursty workload under online sampling (batched
-//! same-timestamp arrivals interleaved with sample ticks on the bucket
-//! queue's fast path). Aggregate metrics (completion times,
-//! switch counts, fairness) must agree within 1e-9; in practice they are
+//! Six seeded workloads cover the interesting regimes — the paper's dense
+//! Table 1 catalogue (at `Loop[45]`, and again under dense `BB[15,0]`
+//! basic-block marks, tuned and all-cores), the mixed CPU/memory scenario
+//! family (heavy phase-transition traffic), a bursty-arrival workload (the
+//! idle stretches the event engine skips), an online-policy run with
+//! interval sampling, and a larger bursty workload under online sampling
+//! (batched same-timestamp arrivals interleaved with sample ticks on the
+//! bucket queue's fast path). Aggregate metrics (completion times, switch
+//! counts, fairness) must agree within 1e-9; in practice they are
 //! bit-identical because both engines drive the same scheduling primitives.
 
 use std::collections::HashMap;
@@ -147,6 +148,33 @@ fn engines_agree_on_the_standard_catalogue_workload() {
     let event = run_engine(slots, policy, EngineKind::EventDriven);
     assert_equivalent(&round, &event);
     assert!(event.total_marks_executed > 0, "the tuner saw marks");
+}
+
+#[test]
+fn engines_agree_under_dense_basic_block_marks() {
+    use phase_tuning::substrate::marking::MarkingConfig;
+    // The other cases mark at Loop[45], where few marks execute. BB[15,0]
+    // marks nearly every typed block boundary, so the event engine's dense
+    // marked-edge table (and the tuner's decided-mark path) carry the run.
+    let catalog = Catalog::standard(0.06, 1);
+    let workload = Workload::random(&catalog, 6, 2, 1);
+    let marking = PipelineConfig::with_marking(MarkingConfig::basic_block(15, 0));
+    let programs = instrument_catalog(&catalog, &machine(), &marking);
+    let slots = build_slots(&workload, &catalog, &programs);
+    let tuned = Policy::Tuned(phase_tuning::substrate::runtime::TunerConfig::paper_table1());
+    for policy in [tuned, Policy::AllCores] {
+        let round = run_engine(slots.clone(), policy, EngineKind::RoundBased);
+        let event = run_engine(slots.clone(), policy, EngineKind::EventDriven);
+        assert_equivalent(&round, &event);
+        assert!(
+            event.total_marks_executed >= 10_000,
+            "{policy:?} executed only {} marks",
+            event.total_marks_executed
+        );
+        if policy == tuned {
+            assert!(event.total_core_switches > 0, "the tuner never switched");
+        }
+    }
 }
 
 #[test]
