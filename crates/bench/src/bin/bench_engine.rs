@@ -11,7 +11,7 @@
 //! committed `BENCH_engine.json`, the run exits nonzero if any shared row's
 //! `sims_per_sec` lands more than 20% below the baseline.
 
-use phase_bench::{announce_report, init, perf_regressions, studies, write_study_report};
+use phase_bench::{announce_report, init, perf_regressions, studies};
 use phase_core::{json, run_study, ArtifactStore};
 
 /// Relative sims/sec slack before the gate fails; generous because CI
@@ -25,11 +25,15 @@ fn main() {
          and on fig4's BB[15,0]-marked binaries under the tuner (fig4-marked),\n\
          and driver scaling at --threads=1 vs. 4 on the table1 isolation plan.",
     );
+    if settings.trace_out.is_some() {
+        eprintln!("bench_engine records no trace: --trace-out is not supported");
+        std::process::exit(2);
+    }
     let spec = studies::engine(&settings);
     let store = ArtifactStore::new();
     let report = run_study(&spec, &store, settings.threads.max(1));
-    print!("{}", studies::render(&report));
-    let written = write_study_report(&report, &settings);
+    print!("{}", studies::render_engine(&report));
+    let written = phase_bench::write_study_report_with(&report, &settings, &[]);
     announce_report(written, "BENCH_engine.json");
 
     if let Ok(path) = std::env::var("PHASE_BENCH_BASELINE") {

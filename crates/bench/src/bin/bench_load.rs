@@ -412,14 +412,7 @@ fn dump_trace(path: &std::path::Path, scale: f64) {
         assert!(!response.is_error(), "the dumped request succeeded");
     }
     phase_trace::set_enabled(false);
-    let records = phase_trace::take(trace_id);
-    match phase_bench::write_trace_ndjson(path, &records) {
-        Ok(()) => println!("wrote {} ({} trace records)", path.display(), records.len()),
-        Err(error) => {
-            eprintln!("failed to write {}: {error}", path.display());
-            std::process::exit(1);
-        }
-    }
+    phase_bench::write_trace_ndjson(path, &phase_trace::take(trace_id));
 }
 
 // --- main ----------------------------------------------------------------

@@ -36,6 +36,10 @@ fn main() {
          request rotation through a byte-budgeted store. Fails unless the remote\n\
          sync is error-free and the bounded store evicts within its budget.",
     );
+    if settings.trace_out.is_some() {
+        eprintln!("bench_store records no trace: --trace-out is not supported");
+        std::process::exit(2);
+    }
     let threads = settings.threads.max(1);
 
     // --- Remote artifact cache over live TCP, from a study-warmed origin. ---

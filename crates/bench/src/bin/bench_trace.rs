@@ -148,13 +148,7 @@ fn main() {
     }
 
     if let Some(path) = &settings.trace_out {
-        match phase_bench::write_trace_ndjson(path, &records) {
-            Ok(()) => println!("wrote {} ({} trace records)", path.display(), records.len()),
-            Err(error) => {
-                eprintln!("failed to write {}: {error}", path.display());
-                std::process::exit(1);
-            }
-        }
+        phase_bench::write_trace_ndjson(path, &records);
     }
 
     let disabled_ok = disabled_pct < DISABLED_GATE_PCT;

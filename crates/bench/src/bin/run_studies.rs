@@ -1,6 +1,7 @@
 //! The unified study runner: every table and figure of the evaluation in one
 //! invocation, sharing one artifact store — plus the cold-versus-warm
-//! benchmark of that store.
+//! benchmark of that store. `run_studies [STUDY...] [FLAGS]` runs only the
+//! named studies instead; `--help` lists the names.
 //!
 //! All thirteen studies run in sequence against a single [`ArtifactStore`],
 //! so cross-study reuse (the shared catalogues, the config-independent
@@ -10,6 +11,12 @@
 //! on the warm store and `BENCH_study.json` records the cold-versus-warm
 //! wall-clock per study, the end-to-end wall-clock, and the final store
 //! counters — the regression artifact CI tracks for the caching layer.
+//!
+//! Named studies run in the given order on one fresh store, each under its
+//! own header, with no warm pass, no spill and no `BENCH_study.json`; `tail`
+//! runs only by name. A study whose gate fails exits 1 before its report is
+//! written. `--trace-out=PATH` traces the whole run under one bench-lane
+//! context and writes its records to `PATH` as NDJSON.
 //!
 //! Set `PHASE_BENCH_SPILL=DIR` to persist the store across runs: if `DIR`
 //! already holds a spill it is reloaded *before* the cold pass (so a cached
@@ -22,16 +29,112 @@
 
 use std::time::Instant;
 
-use phase_bench::studies;
-use phase_core::{run_study, ArtifactStore, JsonValue, StudyReport};
+use phase_bench::studies::{self, Study, STUDIES};
+use phase_bench::BenchSettings;
+use phase_core::{run_study, ArtifactStore, JsonValue, StudyReport, StudySpec};
+use phase_trace as trace;
+
+const TITLE: &str = "Unified study runner (BENCH_study.json)";
+const DESCRIPTION: &str =
+    "Runs every study against one shared artifact store, writes each BENCH_<study>.json,\n\
+     then re-runs the table1/fig6/fig7 sweeps warm and records the cold-vs-warm\n\
+     wall-clock win in BENCH_study.json.";
 
 fn main() {
-    let settings = phase_bench::init(
-        "Unified study runner (BENCH_study.json)",
-        "Runs every study against one shared artifact store, writes each BENCH_<study>.json,\n\
-         then re-runs the table1/fig6/fig7 sweeps warm and records the cold-vs-warm\n\
-         wall-clock win in BENCH_study.json.",
-    );
+    let (names, flags): (Vec<String>, Vec<String>) = std::env::args()
+        .skip(1)
+        .partition(|arg| !arg.starts_with('-'));
+    let selected: Vec<&Study> = names
+        .iter()
+        .map(|name| {
+            studies::find(name).unwrap_or_else(|| {
+                let valid: Vec<&str> = STUDIES.iter().map(|study| study.name).collect();
+                eprintln!("unknown study: {name}");
+                eprintln!("valid studies: {}", valid.join(" "));
+                std::process::exit(2);
+            })
+        })
+        .collect();
+    let settings = phase_bench::parse_args(&flags, || print_help(&selected));
+
+    let traced = settings.trace_out.as_ref().map(|path| {
+        trace::set_enabled(true);
+        (path, trace::new_trace_id())
+    });
+    {
+        let _ctx = traced.map(|(_, trace_id)| trace::install(trace_id, trace::Lane::Bench, 0));
+        if selected.is_empty() {
+            run_all(&settings);
+        } else {
+            run_named(&selected, &settings);
+        }
+    }
+    if let Some((path, trace_id)) = traced {
+        trace::set_enabled(false);
+        phase_bench::write_trace_ndjson(path, &trace::take(trace_id));
+        println!(
+            "ring overflow dropped {} records (oldest-first)",
+            trace::dropped()
+        );
+    }
+}
+
+/// The runner's help with the study names, or each named study's own help.
+fn print_help(selected: &[&Study]) {
+    let title = |study: &Study| (study.spec)(&BenchSettings::default()).title;
+    if selected.is_empty() {
+        phase_bench::print_help(TITLE, DESCRIPTION);
+        println!();
+        println!("STUDIES (run_studies [STUDY...] runs only those; tail runs only when named):");
+        for study in &STUDIES {
+            println!("  {:<18}{}", study.name, title(study));
+        }
+        return;
+    }
+    for (index, study) in selected.iter().enumerate() {
+        if index > 0 {
+            println!();
+        }
+        phase_bench::print_help(&title(study), study.description);
+    }
+}
+
+/// Runs one study on `store`: prints its table, applies its gate (exiting 1
+/// on failure, before any report is written) and writes its report with its
+/// headline fields.
+fn run_one(
+    study: &Study,
+    spec: &StudySpec,
+    store: &ArtifactStore,
+    settings: &BenchSettings,
+) -> StudyReport {
+    let report = run_study(spec, store, settings.threads.max(1));
+    print!("{}", (study.render)(&report));
+    let headline = (study.headline)(&report).unwrap_or_else(|failure| {
+        eprintln!("{}: {failure}", study.name);
+        std::process::exit(1);
+    });
+    let written = phase_bench::write_study_report_with(&report, settings, &headline);
+    phase_bench::announce_report(written, &format!("BENCH_{}.json", study.name));
+    report
+}
+
+/// The named studies, each under its own header, on one fresh store.
+fn run_named(selected: &[&Study], settings: &BenchSettings) {
+    let store = ArtifactStore::new();
+    for (index, study) in selected.iter().enumerate() {
+        let spec = (study.spec)(settings);
+        if index > 0 {
+            println!();
+        }
+        phase_bench::print_header(&spec.title, study.description, settings);
+        run_one(study, &spec, &store, settings);
+    }
+}
+
+/// Every study of `studies::all`, the warm pass and `BENCH_study.json`.
+fn run_all(settings: &BenchSettings) {
+    phase_bench::print_header(TITLE, DESCRIPTION, settings);
     let threads = settings.threads.max(1);
     let store = ArtifactStore::new();
 
@@ -63,36 +166,18 @@ fn main() {
 
     // --- Cold pass: every study, one shared store. ---
     let mut cold: Vec<StudyReport> = Vec::new();
-    for spec in studies::all(&settings) {
+    for study in STUDIES.iter().filter(|study| study.in_all) {
+        let spec = (study.spec)(settings);
         println!("--- {} ---", spec.title);
-        let report = run_study(&spec, &store, threads);
-        print!("{}", studies::render(&report));
-        // The online study's report carries the same drifting-family
-        // headline fields the standalone binary writes, so BENCH_online.json
-        // has one schema whichever producer made it.
-        let extra = if report.study == "online" {
-            let (static_speedup, best_online) = studies::online_drifting_headline(&report);
-            vec![
-                ("drifting_static_speedup", JsonValue::Float(static_speedup)),
-                (
-                    "drifting_best_online_speedup",
-                    JsonValue::Float(best_online),
-                ),
-            ]
-        } else {
-            Vec::new()
-        };
-        let written = phase_bench::write_study_report_with(&report, &settings, &extra);
-        phase_bench::announce_report(written, &format!("BENCH_{}.json", report.study));
+        cold.push(run_one(study, &spec, &store, settings));
         println!();
-        cold.push(report);
     }
 
     // --- Warm pass: the headline sweeps again, answered from the store. ---
     let warm_specs = vec![
-        studies::table1(&settings),
-        studies::fig6(&settings),
-        studies::fig7(&settings),
+        studies::table1(settings),
+        studies::fig6(settings),
+        studies::fig7(settings),
     ];
     let mut sweeps = Vec::new();
     for spec in warm_specs {

@@ -1,59 +1,49 @@
 //! # phase-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation (Sondag & Rajan, CGO 2011, Section IV). Each artifact
-//! has a dedicated binary (run with
-//! `cargo run -p phase-bench --release --bin <name>`):
+//! paper's evaluation (Sondag & Rajan, CGO 2011, Section IV). One binary,
+//! `run_studies`, runs them all, or only the studies named on its command
+//! line (`cargo run -p phase-bench --release --bin run_studies -- <study>`):
 //!
-//! | paper artifact | binary |
+//! | paper artifact | study |
 //! |---|---|
-//! | Figure 3 (space overhead) | `fig3_space_overhead` |
-//! | Figure 4 (time overhead, size-84 workload) | `fig4_time_overhead` |
-//! | Table 1 (switches per benchmark) | `table1_switches` |
-//! | Figure 5 (cycles per core switch) | `fig5_cycles_per_switch` |
-//! | Figure 6 (throughput vs. IPC threshold) | `fig6_ipc_threshold` |
-//! | Figure 7 (throughput vs. clustering error) | `fig7_clustering_error` |
+//! | Figure 3 (space overhead) | `fig3` |
+//! | Figure 4 (time overhead, size-84 workload) | `fig4` |
+//! | Table 1 (switches per benchmark) | `table1` |
+//! | Figure 5 (cycles per core switch) | `fig5` |
+//! | Figure 6 (throughput vs. IPC threshold) | `fig6` |
+//! | Figure 7 (throughput vs. clustering error) | `fig7` |
 //! | Section IV-C2 (lookahead sweep) | `sweep_lookahead` |
 //! | Section IV-C4 (minimum-size sweep) | `sweep_min_size` |
-//! | Table 2 (fairness vs. stock Linux) | `table2_fairness` |
-//! | Figure 8 (speedup vs. fairness trade-off) | `fig8_speedup_fairness` |
+//! | Table 2 (fairness vs. stock Linux) | `table2` |
+//! | Figure 8 (speedup vs. fairness trade-off) | `fig8` |
 //! | Section III / IV-B (mark statistics) | `table_mark_stats` |
-//! | Section VII (3-core AMP) | `exp_three_core` |
+//! | Section VII (3-core AMP) | `three_core` |
+//! | online vs. static tuning (`BENCH_online.json`) | `online` |
+//! | tail latency under open-loop service pipelines (`BENCH_tail.json`, by name only) | `tail` |
+//!
+//! Each study is one entry of the typed table [`studies::STUDIES`]: a
+//! declarative spec over the shared spec-driven runner of `phase-core`
+//! (`run_study`), a renderer and a headline hook. The spec expands into an
+//! `ExperimentPlan`, the cells fan across the parallel `Driver` through the
+//! content-addressed `ArtifactStore`, and the unified [`StudyReport`] is
+//! rendered to the legacy table text and written as `BENCH_<study>.json`.
+//! Without names, `run_studies` executes the thirteen paper studies against
+//! one shared store and records the cold-versus-warm sweep wall-clock in
+//! `BENCH_study.json`.
+//!
+//! Four more binaries measure what is not a study:
+//!
+//! | measurement | binary |
+//! |---|---|
 //! | engine/driver/static-pipeline baseline (`BENCH_engine.json`) | `bench_engine` |
-//! | online vs. static tuning (`BENCH_online.json`) | `online_vs_static` |
-//! | every study + cold/warm store benchmark (`BENCH_study.json`) | `run_studies` |
 //! | open-loop serving latency + coalescing storm (`BENCH_load.json`) | `bench_load` |
 //! | remote artifact cache + bounded-store budget run (`BENCH_store.json`) | `bench_store` |
-//! | tail latency under open-loop service pipelines (`BENCH_tail.json`) | `bench_tail` |
 //! | tracing overhead, disabled and enabled (`BENCH_trace.json`) | `bench_trace` |
 //!
-//! Every study binary is a thin declarative spec (see [`studies`]) over the
-//! shared spec-driven runner of `phase-core` (`run_study`): the spec expands
-//! into an `ExperimentPlan`, the cells fan across the parallel `Driver`
-//! through the content-addressed `ArtifactStore`, and the unified
-//! [`StudyReport`] is rendered to the legacy table text and written as
-//! `BENCH_<study>.json`. `run_studies` executes all thirteen studies against
-//! one shared store and records the cold-versus-warm sweep wall-clock in
-//! `BENCH_study.json`. `bench_engine`'s `layer/*` rows time the static
-//! analyses and the instrumentation pipeline.
-//!
-//! Every binary honours these environment variables (mirrored by CLI flags,
-//! which override them; [`BenchSettings::parse`] checks both the same way):
-//!
-//! * `PHASE_BENCH_SLOTS` — workload size (default varies per study);
-//! * `PHASE_BENCH_THREADS` — driver worker threads (default: all hardware
-//!   threads);
-//! * `PHASE_BENCH_QUICK` — when set, shrinks the catalogue and horizons so a
-//!   full regeneration finishes in seconds (used by CI-style smoke runs);
-//! * `PHASE_BENCH_PERF` — when set, pins `bench_engine`'s scale, slots,
-//!   seeds and sample count (the sims/sec perf-gate profile; overrides
-//!   quick/slots);
-//! * `PHASE_BENCH_OUT_DIR` — where `BENCH_*.json` reports are written
-//!   (default: the current directory);
-//! * `PHASE_BENCH_INTERVAL` — restricts the online sampling-interval sweep
-//!   to one period;
-//! * `PHASE_BENCH_TRACE_OUT` — enables tracing and dumps the run's timeline
-//!   as NDJSON to this file.
+//! Every binary accepts the flags [`init`] lists, each mirrored by a
+//! `PHASE_BENCH_*` environment variable that the flag overrides;
+//! [`BenchSettings::parse`] checks both the same way.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -68,16 +58,20 @@ use phase_sched::SimConfig;
 pub mod studies;
 
 /// Writes the given trace records to `path` as deterministic NDJSON (one
-/// record per line, sorted by logical coordinate by the trace crate).
-pub fn write_trace_ndjson(
-    path: &std::path::Path,
-    records: &[phase_trace::TraceRecord],
-) -> std::io::Result<()> {
-    write_report_file(path, &phase_core::trace_export::render_ndjson(records))
+/// record per line, sorted by logical coordinate by the trace crate) and
+/// prints the path and the record count; a failed write exits 1.
+pub fn write_trace_ndjson(path: &std::path::Path, records: &[phase_trace::TraceRecord]) {
+    match write_report_file(path, &phase_core::trace_export::render_ndjson(records)) {
+        Ok(()) => println!("wrote {} ({} trace records)", path.display(), records.len()),
+        Err(error) => {
+            eprintln!("failed to write {}: {error}", path.display());
+            std::process::exit(1);
+        }
+    }
 }
 
-/// The parsed harness settings every study binary runs under. Binaries get
-/// them from [`init`] (flags over environment variables, see
+/// The parsed harness settings every binary runs under. Binaries get them
+/// from [`init`] or [`parse_args`] (flags over environment variables, see
 /// [`BenchSettings::parse`]); tests build them directly.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchSettings {
@@ -225,17 +219,9 @@ impl BenchSettings {
 }
 
 /// Writes a study report as `BENCH_<study>.json` (under `--out` if given),
-/// wrapping the unified schema with the harness settings it ran under.
-/// Returns the path written.
-pub fn write_study_report(
-    report: &StudyReport,
-    settings: &BenchSettings,
-) -> std::io::Result<PathBuf> {
-    write_study_report_with(report, settings, &[])
-}
-
-/// Like [`write_study_report`], with study-specific headline fields spliced
-/// into the JSON after the settings.
+/// wrapping the unified schema with the harness settings it ran under and
+/// splicing study-specific headline fields in after them. Returns the path
+/// written.
 pub fn write_study_report_with(
     report: &StudyReport,
     settings: &BenchSettings,
@@ -316,23 +302,6 @@ pub fn perf_regressions(current: &JsonValue, baseline: &JsonValue, tolerance: f6
         .collect()
 }
 
-/// The whole body of a standard study binary: parse the command line, build
-/// the spec, run it through a fresh artifact store, print the rendered
-/// tables, and write the `BENCH_<study>.json` report.
-pub fn run_study_main(
-    artifact: &str,
-    description: &str,
-    build: impl FnOnce(&BenchSettings) -> phase_core::StudySpec,
-) {
-    let settings = init(artifact, description);
-    let spec = build(&settings);
-    let store = phase_core::ArtifactStore::new();
-    let report = phase_core::run_study(&spec, &store, settings.threads.max(1));
-    print!("{}", studies::render(&report));
-    let written = write_study_report(&report, &settings);
-    announce_report(written, &format!("BENCH_{}.json", report.study));
-}
-
 /// The experiment configuration shared by the dynamic experiments: the
 /// paper's machine, the given marking technique, and a continuously fed
 /// workload measured over a fixed horizon, sized by the settings.
@@ -361,9 +330,9 @@ pub fn overhead_variants() -> Vec<MarkingConfig> {
     MarkingConfig::table2_variants()
 }
 
-/// Parses the standard regeneration-binary command line over the
-/// environment ([`BenchSettings::parse`]), then prints the standard header
-/// and returns the resulting [`BenchSettings`]. Every binary accepts:
+/// Parses the standard command line over the environment
+/// ([`BenchSettings::parse`]), then prints the standard header and returns
+/// the resulting [`BenchSettings`]. Every binary accepts:
 ///
 /// * `--help` / `-h` — print the artifact description and flags, then exit;
 /// * `--quick` / `-q` — same as setting `PHASE_BENCH_QUICK=1`: shrink the
@@ -377,24 +346,32 @@ pub fn overhead_variants() -> Vec<MarkingConfig> {
 ///   threads the parallel experiment driver fans cells across (default: all
 ///   hardware threads);
 /// * `--interval=N` — same as `PHASE_BENCH_INTERVAL=N`: the online tuner's
-///   hardware-counter sampling period in nanoseconds. Binaries that sweep
-///   the sampling interval (`online_vs_static`) restrict the sweep to this
-///   single value; binaries without an online policy ignore it;
+///   hardware-counter sampling period in nanoseconds. The online study
+///   restricts its sampling-interval sweep to this single value; studies
+///   without an online policy ignore it;
 /// * `--out=PATH` — same as `PHASE_BENCH_OUT_DIR=PATH`: the directory
 ///   `BENCH_*.json` reports are written to (default: the current directory);
 /// * `--trace-out=PATH` — same as `PHASE_BENCH_TRACE_OUT=PATH`: enable
-///   tracing and dump the run's timeline as NDJSON.
+///   tracing and dump the run's timeline as NDJSON. `run_studies`,
+///   `bench_trace` and `bench_load` honour it; `bench_engine` and
+///   `bench_store` exit 2 on it.
 ///
 /// An invalid value, from a flag or a variable, exits 2 with a message.
 pub fn init(artifact: &str, description: &str) -> BenchSettings {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match BenchSettings::parse(&args, |name| std::env::var(name).ok()) {
-        Ok(Some(settings)) => {
-            print_header(artifact, description, &settings);
-            settings
-        }
+    let settings = parse_args(&args, || print_help(artifact, description));
+    print_header(artifact, description, &settings);
+    settings
+}
+
+/// Parses `args` (without the program name) over the environment: calls
+/// `help` and exits 0 on `--help`, and exits 2 with a message on an invalid
+/// value.
+pub fn parse_args(args: &[String], help: impl FnOnce()) -> BenchSettings {
+    match BenchSettings::parse(args, |name| std::env::var(name).ok()) {
+        Ok(Some(settings)) => settings,
         Ok(None) => {
-            print_help(artifact, description);
+            help();
             std::process::exit(0);
         }
         Err(message) => {
@@ -404,7 +381,9 @@ pub fn init(artifact: &str, description: &str) -> BenchSettings {
     }
 }
 
-fn print_help(artifact: &str, description: &str) {
+/// Prints an artifact's `--help` text: its title, its description and the
+/// standard flags.
+pub fn print_help(artifact: &str, description: &str) {
     println!("{artifact}");
     println!("{description}");
     println!();
@@ -439,8 +418,8 @@ fn print_help(artifact: &str, description: &str) {
     );
 }
 
-/// Prints the standard header used by every regeneration binary.
-fn print_header(artifact: &str, description: &str, settings: &BenchSettings) {
+/// Prints the standard header an artifact's run opens with.
+pub fn print_header(artifact: &str, description: &str, settings: &BenchSettings) {
     println!("== {artifact} ==");
     println!("{description}");
     if settings.quick {

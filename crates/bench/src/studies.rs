@@ -1,23 +1,28 @@
-//! The study specs and renderers behind every regeneration binary.
+//! The study table behind `run_studies`: [`STUDIES`] holds one [`Study`]
+//! per table or figure of the evaluation, plus the tail-latency study.
 //!
-//! Each of the paper's tables and figures is described here twice over:
+//! Each entry carries, next to its name and description:
 //!
 //! * a **spec builder** (`table1`, `fig6`, ...) turning [`BenchSettings`]
 //!   into the declarative [`StudySpec`] the shared `phase-core` runner
-//!   consumes, and
+//!   consumes;
 //! * a **renderer** (`render_table1`, ...) turning the unified
 //!   [`StudyReport`] back into the exact text the legacy hand-rolled binary
-//!   printed.
+//!   printed;
+//! * a **headline** hook: the study's own `BENCH_<name>.json` fields, or
+//!   the failure of its gate.
 //!
-//! The binaries are thin `spec → run_study → render → write_study_report`
-//! pipelines, and the golden tests in `tests/golden.rs` run the same spec
-//! and renderer against outputs captured from the legacy binaries, proving
-//! the spec-driven path reproduces their numbers bit-for-bit.
+//! `run_studies` runs an entry as `spec → run_study → render → headline →
+//! write_study_report_with`, and the golden tests in `tests/golden.rs` run
+//! the same spec and renderer against outputs captured from the legacy
+//! binaries, proving the spec-driven path reproduces their numbers
+//! bit-for-bit. The engine study ([`engine`]) is not in the table:
+//! `bench_engine` runs it under its own perf gate.
 
 use phase_amp::{CoreId, CostModel, MachineSpec};
 use phase_core::{
-    format_duration_ns, ComparisonPoint, FamilySpec, MetricValue, PerfWorkload, Policy, StudyMode,
-    StudyReport, StudyRow, StudySpec, TextTable,
+    format_duration_ns, ComparisonPoint, FamilySpec, JsonValue, MetricValue, PerfWorkload, Policy,
+    StudyMode, StudyReport, StudyRow, StudySpec, TextTable,
 };
 use phase_marking::{MarkingConfig, MARK_SIZE_BYTES};
 use phase_metrics::SummaryStats;
@@ -43,45 +48,116 @@ fn body(table: &TextTable, footer: &str) -> String {
     format!("{}\n{footer}\n", table.render())
 }
 
-/// Every study this crate defines, in the order `run_studies` executes them.
-pub fn all(settings: &BenchSettings) -> Vec<StudySpec> {
-    vec![
-        fig3(settings),
-        fig4(settings),
-        table1(settings),
-        fig5(settings),
-        fig6(settings),
-        fig7(settings),
-        sweep_lookahead(settings),
-        sweep_min_size(settings),
-        table2(settings),
-        fig8(settings),
-        table_mark_stats(settings),
-        exp_three_core(settings),
-        online(settings),
-    ]
+/// The study-specific fields spliced into a `BENCH_<name>.json` report.
+pub type Headline = Vec<(&'static str, JsonValue)>;
+
+/// One entry of [`STUDIES`]: everything `run_studies` needs to run a study
+/// by name.
+pub struct Study {
+    /// The study's name: its spec's `name` and its report's
+    /// `BENCH_<name>.json` stem.
+    pub name: &'static str,
+    /// What the study measures, printed under its header and in its help.
+    pub description: &'static str,
+    /// Builds the study's spec from the harness settings.
+    pub spec: fn(&BenchSettings) -> StudySpec,
+    /// Renders the study's report as its text table.
+    pub render: fn(&StudyReport) -> String,
+    /// The study's headline fields, or why its gate failed.
+    pub headline: fn(&StudyReport) -> Result<Headline, String>,
+    /// Whether [`all`], and so a `run_studies` without names, runs the
+    /// study; the others run only by name.
+    pub in_all: bool,
 }
 
-/// Renders a report through the renderer matching its study name.
-pub fn render(report: &StudyReport) -> String {
-    match report.study.as_str() {
-        "fig3" => render_fig3(report),
-        "fig4" => render_fig4(report),
-        "table1" => render_table1(report),
-        "fig5" => render_fig5(report),
-        "fig6" => render_fig6(report),
-        "fig7" => render_fig7(report),
-        "sweep_lookahead" => render_sweep_lookahead(report),
-        "sweep_min_size" => render_sweep_min_size(report),
-        "table2" => render_table2(report),
-        "fig8" => render_fig8(report),
-        "table_mark_stats" => render_table_mark_stats(report),
-        "three_core" => render_exp_three_core(report),
-        "online" => render_online(report),
-        "engine" => render_engine(report),
-        "tail" => render_tail(report),
-        other => panic!("no renderer for study '{other}'"),
+/// Every study `run_studies` can run, in the order a run without names
+/// executes them.
+pub static STUDIES: [Study; 14] = [
+    Study::paper("fig3", FIG3_ABOUT, fig3, render_fig3),
+    Study::paper("fig4", FIG4_ABOUT, fig4, render_fig4),
+    Study::paper("table1", TABLE1_ABOUT, table1, render_table1),
+    Study::paper("fig5", FIG5_ABOUT, fig5, render_fig5),
+    Study::paper("fig6", FIG6_ABOUT, fig6, render_fig6),
+    Study::paper("fig7", FIG7_ABOUT, fig7, render_fig7),
+    Study::paper(
+        "sweep_lookahead",
+        LOOKAHEAD_ABOUT,
+        sweep_lookahead,
+        render_sweep_lookahead,
+    ),
+    Study::paper(
+        "sweep_min_size",
+        MIN_SIZE_ABOUT,
+        sweep_min_size,
+        render_sweep_min_size,
+    ),
+    Study::paper("table2", TABLE2_ABOUT, table2, render_table2),
+    Study::paper("fig8", FIG8_ABOUT, fig8, render_fig8),
+    Study::paper(
+        "table_mark_stats",
+        MARK_STATS_ABOUT,
+        table_mark_stats,
+        render_table_mark_stats,
+    ),
+    Study::paper(
+        "three_core",
+        THREE_CORE_ABOUT,
+        exp_three_core,
+        render_exp_three_core,
+    ),
+    Study {
+        headline: online_headline,
+        ..Study::paper("online", ONLINE_ABOUT, online, render_online)
+    },
+    Study {
+        headline: tail_headline,
+        in_all: false,
+        ..Study::paper("tail", TAIL_ABOUT, tail, render_tail)
+    },
+];
+
+impl Study {
+    /// An entry [`all`] runs, with no headline fields and no gate.
+    const fn paper(
+        name: &'static str,
+        description: &'static str,
+        spec: fn(&BenchSettings) -> StudySpec,
+        render: fn(&StudyReport) -> String,
+    ) -> Self {
+        Self {
+            name,
+            description,
+            spec,
+            render,
+            headline: no_headline,
+            in_all: true,
+        }
     }
+}
+
+/// The table entry named `name`.
+pub fn find(name: &str) -> Option<&'static Study> {
+    STUDIES.iter().find(|study| study.name == name)
+}
+
+/// The specs of every study a `run_studies` without names runs, in order.
+pub fn all(settings: &BenchSettings) -> Vec<StudySpec> {
+    STUDIES
+        .iter()
+        .filter(|study| study.in_all)
+        .map(|study| (study.spec)(settings))
+        .collect()
+}
+
+/// Renders a report through its study's renderer; `None` for a study the
+/// table does not hold.
+pub fn render(report: &StudyReport) -> Option<String> {
+    find(&report.study).map(|study| (study.render)(report))
+}
+
+/// The headline of a study that writes no fields of its own and has no gate.
+fn no_headline(_: &StudyReport) -> Result<Headline, String> {
+    Ok(Headline::new())
 }
 
 // --- Engine perf gate: BENCH_engine.json. ---
@@ -177,6 +253,10 @@ pub fn render_engine(report: &StudyReport) -> String {
 
 // --- Figure 3: space overhead. ---
 
+const FIG3_ABOUT: &str = "\
+    Phase-mark bytes added relative to the original binary size, per technique,\n\
+    summarised over the 15 catalogue benchmarks (box-plot quartiles).";
+
 /// Figure 3 — space overhead of phase marks per technique variant.
 pub fn fig3(settings: &BenchSettings) -> StudySpec {
     StudySpec {
@@ -220,6 +300,11 @@ pub fn render_fig3(report: &StudyReport) -> String {
 }
 
 // --- Figure 4: time overhead. ---
+
+const FIG4_ABOUT: &str = "\
+    Identical workloads run with uninstrumented binaries and with instrumented binaries\n\
+    whose marks switch to \"all cores\"; the completion-time difference is the mark\n\
+    overhead. The baseline and the eight variants are one plan fanned across the driver.";
 
 /// Figure 4 — time overhead of the phase marks (all-cores policy).
 pub fn fig4(settings: &BenchSettings) -> StudySpec {
@@ -287,6 +372,11 @@ fn isolation_mode(settings: &BenchSettings) -> StudyMode {
     }
 }
 
+const TABLE1_ABOUT: &str = "\
+    Each benchmark runs alone on the AMP with the phase tuner; the table reports\n\
+    the core switches it performed and its runtime. The 15 isolation runs are\n\
+    independent cells fanned across the driver's worker threads.";
+
 /// Table 1 — switches per benchmark under the best technique.
 pub fn table1(settings: &BenchSettings) -> StudySpec {
     StudySpec {
@@ -320,6 +410,11 @@ pub fn render_table1(report: &StudyReport) -> String {
          switch most often; 459.GemsFDTD and 473.astar have no phases and never switch.",
     )
 }
+
+const FIG5_ABOUT: &str = "\
+    Cycles executed by each benchmark divided by the number of core switches it made\n\
+    (running alone with Loop[45] marking and the 0.2-threshold tuner); one isolation\n\
+    cell per benchmark, fanned across the driver's workers.";
 
 /// Figure 5 — average cycles per core switch per benchmark.
 pub fn fig5(settings: &BenchSettings) -> StudySpec {
@@ -372,6 +467,11 @@ pub fn render_fig5(report: &StudyReport) -> String {
 
 // --- Figure 6: IPC-threshold sweep. ---
 
+const FIG6_ABOUT: &str = "\
+    Basic-block strategy, min block size 15, lookahead 0; the workload is re-run with\n\
+    the same queues for every threshold value. All threshold cells form one plan\n\
+    fanned across the driver.";
+
 /// Figure 6 — throughput vs. the tuner's IPC threshold `δ`.
 pub fn fig6(settings: &BenchSettings) -> StudySpec {
     let thresholds = [0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5];
@@ -419,6 +519,11 @@ pub fn render_fig6(report: &StudyReport) -> String {
 
 // --- Figure 7: clustering-error sweep. ---
 
+const FIG7_ABOUT: &str = "\
+    Basic-block strategy, min block size 15, lookahead 0; 0%–30% of typed blocks are\n\
+    flipped to the opposite cluster before phase marking. One comparison plan per\n\
+    error level, all fanned across the driver together.";
+
 /// Figure 7 — robustness to static clustering error.
 pub fn fig7(settings: &BenchSettings) -> StudySpec {
     let error_levels = [0.0, 0.10, 0.20, 0.30];
@@ -465,6 +570,10 @@ pub fn render_fig7(report: &StudyReport) -> String {
 
 // --- Lookahead sweep. ---
 
+const LOOKAHEAD_ABOUT: &str = "\
+    Basic-block strategy with min size 15 and lookahead depths 0–3; one comparison\n\
+    plan per depth, fanned across the driver together.";
+
 /// Section IV-C2 — lookahead-depth sweep of the basic-block technique.
 pub fn sweep_lookahead(settings: &BenchSettings) -> StudySpec {
     let points = [0usize, 1, 2, 3]
@@ -510,6 +619,11 @@ pub fn render_sweep_lookahead(report: &StudyReport) -> String {
 }
 
 // --- Minimum-size sweep. ---
+
+const MIN_SIZE_ABOUT: &str = "\
+    Marks inserted and throughput/fairness impact as the minimum section size grows,\n\
+    for the basic-block, interval, and loop techniques; one comparison plan per\n\
+    variant, fanned across the driver together.";
 
 /// Section IV-C4 — minimum-section-size sweep across all granularities.
 pub fn sweep_min_size(settings: &BenchSettings) -> StudySpec {
@@ -584,6 +698,11 @@ fn comparison_over_variants(
         .collect()
 }
 
+const TABLE2_ABOUT: &str = "\
+    Percent decrease relative to the stock run on the same queues; positive numbers are\n\
+    improvements. Every variant's baseline and tuned cells form one plan fanned across\n\
+    the driver. Pass PHASE_BENCH_QUICK=1 for a reduced run.";
+
 /// Table 2 — fairness comparison to the stock scheduler.
 pub fn table2(settings: &BenchSettings) -> StudySpec {
     let variants = table2_quick_or_full(
@@ -642,6 +761,11 @@ pub fn render_table2(report: &StudyReport) -> String {
 
 // --- Figure 8: speedup vs. fairness. ---
 
+const FIG8_ABOUT: &str = "\
+    Each row is one technique variant: its average-process-time reduction (speedup) and\n\
+    the max-stretch it achieves (lower is fairer). The paper's interval and loop variants\n\
+    balance the two; several basic-block variants trade fairness for speedup.";
+
 /// Figure 8 — the speedup-versus-fairness trade-off.
 pub fn fig8(settings: &BenchSettings) -> StudySpec {
     let variants = table2_quick_or_full(
@@ -682,6 +806,9 @@ pub fn render_fig8(report: &StudyReport) -> String {
 }
 
 // --- Mark statistics. ---
+
+const MARK_STATS_ABOUT: &str = "\
+    Marks inserted per benchmark with Loop[45], their size, and the cost of a core switch.";
 
 /// Sections III / IV-B — phase-mark statistics for the best technique.
 pub fn table_mark_stats(settings: &BenchSettings) -> StudySpec {
@@ -734,6 +861,11 @@ pub fn render_table_mark_stats(report: &StudyReport) -> String {
 
 // --- 3-core AMP. ---
 
+const THREE_CORE_ABOUT: &str = "\
+    The best technique (Loop[45]) on the 2-fast/1-slow machine, compared with the\n\
+    4-core evaluation machine; both machines' baseline and tuned cells form one\n\
+    plan fanned across the driver.";
+
 /// Section VII — the 3-core AMP configuration next to the 4-core machine.
 pub fn exp_three_core(settings: &BenchSettings) -> StudySpec {
     let points = [MachineSpec::core2_quad_amp(), MachineSpec::three_core_amp()]
@@ -779,6 +911,12 @@ pub fn render_exp_three_core(report: &StudyReport) -> String {
 }
 
 // --- Online vs. static. ---
+
+const ONLINE_ABOUT: &str = "\
+    Stock vs. static phase marks vs. online interval sampling on the standard, mixed,\n\
+    bursty, and drifting families; the online policy is swept over sampling interval\n\
+    x phase count. Drifting programs are unmarkable, so the static tuner collapses\n\
+    to stock there while the online tuner keeps tuning.";
 
 /// The online-versus-static head-to-head over the four workload families.
 pub fn online(settings: &BenchSettings) -> StudySpec {
@@ -885,6 +1023,18 @@ pub fn online_drifting_headline(report: &StudyReport) -> (f64, f64) {
     (static_speedup, best_online)
 }
 
+/// The [`online`] study's headline fields: its drifting-family speedups.
+fn online_headline(report: &StudyReport) -> Result<Headline, String> {
+    let (static_speedup, best_online) = online_drifting_headline(report);
+    Ok(vec![
+        ("drifting_static_speedup", JsonValue::Float(static_speedup)),
+        (
+            "drifting_best_online_speedup",
+            JsonValue::Float(best_online),
+        ),
+    ])
+}
+
 /// Renders [`online`] as the legacy table with the drifting headline.
 pub fn render_online(report: &StudyReport) -> String {
     let mut table = TextTable::new(vec![
@@ -922,7 +1072,13 @@ pub fn render_online(report: &StudyReport) -> String {
 
 // --- Datacenter tail latency. ---
 
-/// The datacenter tail-latency study behind `bench_tail`: open-loop
+const TAIL_ABOUT: &str = "\
+    Open-loop service pipelines (NIC poll -> network stack -> application) on Poisson,\n\
+    bursty, and diurnal arrival traces with per-request deadlines, swept over machine\n\
+    asymmetry x scheduling policy and judged on p50/p99/p999 completion latency and\n\
+    SLO-violation fraction. Latency is charged from each request's scheduled release.";
+
+/// The datacenter tail-latency study (`run_studies tail`): open-loop
 /// service-pipeline requests (NIC-poll → network-stack → application phases)
 /// arriving on Poisson, bursty, and diurnal traces, each carrying a
 /// completion deadline, swept over machine asymmetries × scheduling policies
@@ -1003,6 +1159,20 @@ pub fn tail_phase_aware_wins(report: &StudyReport) -> usize {
         .count()
 }
 
+/// The [`tail`] study's gate and headline: at least one sweep cell must show
+/// a phase-aware p99 win, and the report records how many did.
+fn tail_headline(report: &StudyReport) -> Result<Headline, String> {
+    let wins = tail_phase_aware_wins(report);
+    if wins == 0 {
+        return Err(
+            "no sweep cell had a phase-aware policy beat static partitioning on p99 — \
+             the study's headline regressed"
+                .into(),
+        );
+    }
+    Ok(vec![("phase_aware_p99_wins", JsonValue::UInt(wins as u64))])
+}
+
 /// Renders [`tail`] as a per-cell quantile table with the headline count.
 pub fn render_tail(report: &StudyReport) -> String {
     let mut table = TextTable::new(vec![
@@ -1038,4 +1208,58 @@ pub fn render_tail(report: &StudyReport) -> String {
          latency charged from scheduled release, SLO budget 2ms.\n"
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_study_has_a_unique_name_matching_its_spec() {
+        let settings = BenchSettings::for_tests(6);
+        for study in &STUDIES {
+            assert_eq!((study.spec)(&settings).name, study.name);
+            let first = find(study.name).expect("an entry is found by its name");
+            assert!(
+                std::ptr::eq(first, study),
+                "'{}' is listed twice",
+                study.name
+            );
+        }
+        assert!(
+            find("engine").is_none(),
+            "bench_engine runs the engine study"
+        );
+    }
+
+    #[test]
+    fn all_yields_the_paper_studies_in_perfbench_order() {
+        let specs = all(&BenchSettings::for_tests(6));
+        let names: Vec<&str> = specs.iter().map(|spec| spec.name.as_str()).collect();
+        assert_eq!(
+            names.join(" "),
+            "fig3 fig4 table1 fig5 fig6 fig7 sweep_lookahead sweep_min_size table2 fig8 \
+             table_mark_stats three_core online"
+        );
+    }
+
+    #[test]
+    fn the_tail_gate_fails_without_a_phase_aware_p99_win() {
+        let report = |tuned_p99_ns: u64| StudyReport {
+            study: "tail".into(),
+            title: String::new(),
+            rows: [("partition", 100), ("tuned", tuned_p99_ns)]
+                .map(|(kind, p99_ns)| {
+                    StudyRow::new("poisson/core2-quad")
+                        .metric("policy_kind", MetricValue::Text(kind.into()))
+                        .metric("p99_ns", MetricValue::UInt(p99_ns))
+                })
+                .into(),
+            store: Default::default(),
+            elapsed_s: 0.0,
+        };
+        assert!(tail_headline(&report(100)).is_err(), "a tie is no win");
+        let wins = vec![("phase_aware_p99_wins", JsonValue::UInt(1))];
+        assert_eq!(tail_headline(&report(99)), Ok(wins));
+    }
 }

@@ -4,10 +4,10 @@
 //! The files under `tests/golden/` were captured from the pre-refactor
 //! binaries (`PHASE_BENCH_QUICK=1 PHASE_BENCH_SLOTS=6 PHASE_BENCH_THREADS=2`,
 //! everything after the header block) *before* those binaries were ported to
-//! thin specs. Each test builds the same spec the ported binary builds, runs
-//! it through a fresh artifact store, renders it with the shared renderer,
-//! and compares against the capture — so the caching layer, the staged
-//! pipeline, and the unified report path are all pinned to the legacy
+//! thin specs. Each test builds the same spec `run_studies` builds, runs it
+//! through a fresh artifact store, renders it with the study table's
+//! renderer, and compares against the capture — so the caching layer, the
+//! staged pipeline, and the unified report path are all pinned to the legacy
 //! numbers.
 //!
 //! Settings are passed explicitly (`BenchSettings::for_tests`) so the tests
@@ -23,7 +23,7 @@ fn settings() -> BenchSettings {
 fn check(spec: StudySpec, golden: &str) -> StudyReport {
     let store = ArtifactStore::new();
     let report = run_study(&spec, &store, 2);
-    let rendered = studies::render(&report);
+    let rendered = studies::render(&report).expect("every golden study is in the table");
     assert_eq!(
         rendered.trim_end_matches('\n'),
         golden.trim_end_matches('\n'),

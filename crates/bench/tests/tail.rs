@@ -28,7 +28,7 @@ fn tail_rows_are_bit_identical_across_thread_counts() {
 fn tail_quick_rows_match_the_golden_capture() {
     let spec = studies::tail(&settings());
     let report = run_study(&spec, &ArtifactStore::new(), 2);
-    let rendered = studies::render(&report);
+    let rendered = studies::render(&report).expect("the tail study is in the table");
     let golden = include_str!("golden/tail.txt");
     assert_eq!(
         rendered.trim_end_matches('\n'),

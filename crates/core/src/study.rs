@@ -6,9 +6,9 @@
 //! mode, and [`run_study`] expands it into an [`ExperimentPlan`], fans the
 //! cells across the parallel [`Driver`](crate::Driver) through the
 //! [`ArtifactStore`], and collects a [`StudyReport`] with one metrics row per
-//! sweep point. Every bench binary is a thin spec over this one runner, and
-//! the unified report schema serializes to `BENCH_*.json` through
-//! [`crate::json`].
+//! sweep point. Every study `phase-bench` runs is a thin spec over this one
+//! runner, and the unified report schema serializes to `BENCH_*.json`
+//! through [`crate::json`].
 
 use std::collections::HashMap;
 use std::hint::black_box;

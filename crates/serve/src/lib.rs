@@ -14,11 +14,10 @@
 //! cache — the *tune once, run anywhere* amortization the paper argues for,
 //! applied across requests instead of across sweep points.
 //!
-//! Three front ends share one resolution path:
+//! Two front ends share one resolution path:
 //!
-//! * **direct calls** — [`TuningService::handle`];
-//! * **an in-process channel** — [`ServiceHandle`] (clonable, thread-safe),
-//!   from [`TuningService::spawn`];
+//! * **direct calls** — [`TuningService::handle`], callable from any thread
+//!   through an `Arc<TuningService>`, so concurrent callers run in parallel;
 //! * **newline-delimited JSON** — [`serve_lines`] over any reader/writer
 //!   pair (stdio, an in-memory transcript, a socket) and [`serve_tcp`] /
 //!   [`serve_tcp_with`] over a `TcpListener`, both built on the
@@ -68,8 +67,7 @@ pub use request::{
     parse_request, RequestKind, ServeError, TuneSpec, TuningRequest, TuningResponse,
 };
 pub use service::{
-    KindAdmission, KindLatency, ServiceConfig, ServiceHandle, ServiceStats, ServingStats,
-    TuningService,
+    KindAdmission, KindLatency, ServiceConfig, ServiceStats, ServingStats, TuningService,
 };
 pub use wire::{
     emit_metrics_line, serve_lines, serve_lines_capped, serve_tcp, serve_tcp_with, WireConfig,

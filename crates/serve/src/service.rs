@@ -1,13 +1,11 @@
 //! The service core: request resolution over a shared, bounded
 //! [`ArtifactStore`], single-flight coalescing of identical in-flight
-//! requests, per-kind latency accounting, plus the in-process channel front
-//! end.
+//! requests, and per-kind latency accounting.
 
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -805,40 +803,5 @@ impl TuningService {
     /// [`ServiceConfig::warm_start`] pointing there answers warm.
     pub fn spill_to_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
         self.store.spill_to_dir(dir)
-    }
-
-    /// Spawns a worker thread owning the service and returns a clonable
-    /// handle; the worker exits when every handle is dropped.
-    pub fn spawn(service: Arc<TuningService>) -> (ServiceHandle, std::thread::JoinHandle<()>) {
-        let (sender, receiver) = mpsc::channel::<Job>();
-        let worker = std::thread::spawn(move || {
-            while let Ok(job) = receiver.recv() {
-                let response = service.handle(&job.request);
-                // A dropped reply receiver just means the client gave up.
-                let _ = job.reply.send(response);
-            }
-        });
-        (ServiceHandle { sender }, worker)
-    }
-}
-
-struct Job {
-    request: TuningRequest,
-    reply: mpsc::Sender<TuningResponse>,
-}
-
-/// A clonable in-process client of a spawned [`TuningService`].
-#[derive(Clone)]
-pub struct ServiceHandle {
-    sender: mpsc::Sender<Job>,
-}
-
-impl ServiceHandle {
-    /// Sends a request and blocks for the response. `None` means the
-    /// service worker has shut down.
-    pub fn request(&self, request: TuningRequest) -> Option<TuningResponse> {
-        let (reply, receive) = mpsc::channel();
-        self.sender.send(Job { request, reply }).ok()?;
-        receive.recv().ok()
     }
 }

@@ -1,11 +1,10 @@
 //! The tuning service in ~40 lines: boot a bounded service, tune a
-//! catalogue through the in-process handle, repeat the request to see the
+//! catalogue with a direct `handle` call, repeat the request to see the
 //! cache answer it, and drive the same service over the NDJSON wire.
 //!
 //! Run with: `cargo run --release --example tuning_service`
 
 use std::io::BufReader;
-use std::sync::Arc;
 use std::time::Instant;
 
 use phase_serve::{parse_request, serve_lines, ServiceConfig, TuningResponse, TuningService};
@@ -13,26 +12,24 @@ use phase_serve::{parse_request, serve_lines, ServiceConfig, TuningResponse, Tun
 fn main() {
     // A service over a store bounded to 32 MB: admission control + CLOCK
     // eviction keep the resident footprint under the budget forever.
-    let service = Arc::new(
-        TuningService::new(ServiceConfig {
-            threads: 4,
-            budget_bytes: Some(32 * 1024 * 1024),
-            ..ServiceConfig::default()
-        })
-        .expect("cold start cannot fail"),
-    );
+    let service = TuningService::new(ServiceConfig {
+        threads: 4,
+        budget_bytes: Some(32 * 1024 * 1024),
+        ..ServiceConfig::default()
+    })
+    .expect("cold start cannot fail");
 
-    // The in-process channel front end.
-    let (handle, worker) = TuningService::spawn(Arc::clone(&service));
+    // A direct call; share the service through an `Arc` to call it from
+    // several threads at once.
     let line = "{\"id\": \"demo\", \"kind\": \"isolation\", \
                 \"catalog\": {\"scale\": 0.05, \"seed\": 7}, \"ipc_threshold\": 0.2}";
     let request = parse_request(line).expect("the demo request is well-formed");
 
     let start = Instant::now();
-    let cold = handle.request(request.clone()).expect("service is running");
+    let cold = service.handle(&request);
     let cold_ms = start.elapsed().as_secs_f64() * 1e3;
     let start = Instant::now();
-    let warm = handle.request(request).expect("service is running");
+    let warm = service.handle(&request);
     let warm_ms = start.elapsed().as_secs_f64() * 1e3;
 
     if let TuningResponse::Report { report, .. } = &cold {
@@ -75,7 +72,4 @@ fn main() {
         stats.resident_bytes(),
         stats.budget_bytes.unwrap()
     );
-
-    drop(handle);
-    worker.join().expect("worker shuts down cleanly");
 }
