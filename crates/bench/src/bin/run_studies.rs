@@ -23,15 +23,16 @@
 //! CI run skips the recomputation entirely), and the store is spilled back
 //! to `DIR` (binary phase-pack format, every stage of the pipeline) after
 //! the studies finish. With `PHASE_BENCH_ASSERT_WARM=1` the run additionally
-//! asserts that the preloaded spill answered every typing lookup — zero
-//! misses — which is how CI proves its artifact cache actually warmed the
-//! run.
+//! asserts that the preloaded spill answered every lookup of every spilled
+//! stage (catalogues, typings, IPC profiles, isolated runtimes, instrumented
+//! programs, baseline twins, cells) — zero misses — which is how CI proves
+//! its artifact cache actually warmed the run.
 
 use std::time::Instant;
 
 use phase_bench::studies::{self, Study, STUDIES};
 use phase_bench::BenchSettings;
-use phase_core::{run_study, ArtifactStore, JsonValue, StudyReport, StudySpec};
+use phase_core::{run_study, ArtifactStore, JsonValue, StudyReport, StudySpec, SPILL_STAGES};
 use phase_trace as trace;
 
 const TITLE: &str = "Unified study runner (BENCH_study.json)";
@@ -205,23 +206,29 @@ fn run_all(settings: &BenchSettings) {
 
     // --- A cache-warmed run must actually run warm: with the assertion
     // enabled (CI's cache-hit path), a preloaded store that still recomputed
-    // typings means the spill key or format regressed — fail loudly.
+    // any spilled artifact means the spill key or format regressed — fail
+    // loudly.
     let assert_warm = std::env::var("PHASE_BENCH_ASSERT_WARM").is_ok_and(|v| v != "0");
     if assert_warm {
-        let typings = store
-            .snapshot()
-            .stage("typings")
-            .expect("the store tracks a typings stage");
         assert!(
             preloaded > 0,
             "PHASE_BENCH_ASSERT_WARM=1 but no spill was preloaded"
         );
-        assert_eq!(
-            typings.misses, 0,
-            "PHASE_BENCH_ASSERT_WARM=1 but the run recomputed {} typings",
-            typings.misses
+        let snapshot = store.snapshot();
+        for stage in SPILL_STAGES {
+            let misses = snapshot
+                .stage(stage)
+                .expect("the store tracks every spill stage")
+                .misses;
+            assert_eq!(
+                misses, 0,
+                "PHASE_BENCH_ASSERT_WARM=1 but the run recomputed {misses} {stage}"
+            );
+        }
+        println!(
+            "warm assertion passed: {preloaded} artifacts preloaded, no misses in {}",
+            SPILL_STAGES.join(", ")
         );
-        println!("warm assertion passed: {preloaded} artifacts preloaded, typings misses == 0");
     }
 
     // --- Spill the store back for the next run. ---

@@ -55,17 +55,21 @@ use crate::pipeline::{
 /// Number of shards per stage cache.
 const SHARDS: usize = 16;
 
-/// Upper bound on the fingerprint memo maps: each entry pins a program
-/// allocation via `Arc`, so the memos are cleared (re-hashing is cheap and
-/// deterministic) rather than allowed to grow with every catalogue a
-/// long-running service ever touches.
+/// Upper bound on the fingerprint memo maps and the program intern table:
+/// each entry pins a program allocation via `Arc`, so they are cleared
+/// (re-hashing is cheap and deterministic) rather than allowed to grow with
+/// every catalogue a long-running service ever touches.
 const FP_MEMO_CAP: usize = 4096;
 
 /// The stages the store can persist to disk and serve over the network, in
-/// spill order. Catalogues and region maps are rebuilt from their compact
-/// inputs instead of being spilled (a catalogue re-derives from its spec in
-/// microseconds; regions from the typing).
-pub const SPILL_STAGES: [&str; 6] = [
+/// spill order. Catalogues come first: regenerating one takes milliseconds
+/// (4–15 ms for the quick study catalogues), and loading them first makes
+/// their programs the interned copies every later instrumented and baseline
+/// record shares. Region maps are rebuilt from the typing instead of being
+/// spilled; a restart that finds its instrumented programs never asks for
+/// them.
+pub const SPILL_STAGES: [&str; 7] = [
+    "catalogs",
     "typings",
     "ipc_profiles",
     "isolated_runtimes",
@@ -153,6 +157,31 @@ impl StableHasher {
             self.a = (self.a ^ u64::from(byte)).wrapping_mul(Self::PRIME);
             self.b = (self.b ^ u64::from(byte.rotate_left(3))).wrapping_mul(Self::PRIME);
         }
+    }
+
+    /// Feeds a length-prefixed byte string eight bytes per step: several
+    /// times cheaper than [`StableHasher::write_bytes`] over the kilobytes
+    /// of an encoded program, and hashing to different values. Each step is
+    /// a bijection of the state for a fixed word and of the word for a fixed
+    /// state, so two strings of one length that differ in a single word
+    /// never collide.
+    pub(crate) fn write_blob(&mut self, bytes: &[u8]) {
+        const MUL_A: u64 = 0x9e37_79b9_7f4a_7c15;
+        const MUL_B: u64 = 0xc2b2_ae3d_27d4_eb4f;
+        self.write_usize(bytes.len());
+        let mut mix = |word: u64| {
+            self.a = (self.a ^ word).wrapping_mul(MUL_A).rotate_left(23);
+            self.b = (self.b ^ word.rotate_left(32))
+                .wrapping_mul(MUL_B)
+                .rotate_left(31);
+        };
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            mix(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        mix(u64::from_le_bytes(tail));
     }
 
     /// Feeds a `u64`.
@@ -483,11 +512,13 @@ impl StoreFootprint for ProgramRegions {
 
 impl StoreFootprint for InstrumentedProgram {
     fn footprint_bytes(&self) -> u64 {
-        // The held `Arc<Program>` pins the whole program, so the twin is
-        // charged for it even though the catalogue artifact charges the same
-        // program: the budget deliberately over-counts shared allocations
-        // (an upper bound stays a bound; under-counting would let evicting
-        // the catalogue strand uncharged, pinned programs).
+        // The held `Arc<Program>` is the catalogue's own program (and, after
+        // a spill load, the interned copy), so the catalogue artifact and
+        // every instrumented and baseline artifact of one program pin one
+        // allocation. Each is still charged for the whole program: the
+        // budget deliberately over-counts shared allocations (an upper bound
+        // stays a bound; under-counting would let evicting the catalogue
+        // strand uncharged, pinned programs).
         program_footprint(self.program()) + self.marks().len() as u64 * 96 + 64
     }
 }
@@ -642,11 +673,12 @@ impl<V> Default for ShardedClockCache<V> {
     }
 }
 
-/// The phase-pack codec of a persisted stage.
+/// The phase-pack codec of a persisted stage. A decoder takes the programs
+/// its payload embeds from the store's intern table.
 #[derive(Debug)]
 struct Codec<V> {
     encode: fn(&V) -> Vec<u8>,
-    decode: fn(&[u8]) -> Result<V, pack::PackError>,
+    decode: fn(&[u8], pack::ProgramSource<'_>) -> Result<V, pack::PackError>,
 }
 
 /// One entry of the store's stage table: everything the store knows about
@@ -679,7 +711,7 @@ impl<V> Stage<V> {
         name: &'static str,
         evict_rank: u8,
         encode: fn(&V) -> Vec<u8>,
-        decode: fn(&[u8]) -> Result<V, pack::PackError>,
+        decode: fn(&[u8], pack::ProgramSource<'_>) -> Result<V, pack::PackError>,
     ) -> Self {
         Self {
             codec: Some(Codec { encode, decode }),
@@ -767,7 +799,8 @@ impl<V: StoreFootprint + Send + Sync> AnyStage for Stage<V> {
                 self.name
             )));
         };
-        store.admit(&self.cache, key, Arc::new((codec.decode)(payload)?));
+        let value = (codec.decode)(payload, &|bytes| store.intern_program(bytes))?;
+        store.admit(&self.cache, key, Arc::new(value));
         Ok(self.cache.contains(key))
     }
 }
@@ -1019,6 +1052,9 @@ impl StoreStats {
     }
 }
 
+/// An interned program and the phase-pack bytes it was decoded from.
+type InternedProgram = (Arc<Program>, Vec<u8>);
+
 /// The content-addressed artifact store. See the module docs for the design.
 #[derive(Debug)]
 pub struct ArtifactStore {
@@ -1044,6 +1080,12 @@ pub struct ArtifactStore {
     /// Same memo (and the same bound) for instrumented programs, used when
     /// hashing job slots.
     instrumented_fps: Mutex<HashMap<usize, (Arc<InstrumentedProgram>, ContentHash)>>,
+    /// Programs decoded from phase-pack payloads (a spill load or an
+    /// artifact put), keyed by fingerprint, each with the bytes it was
+    /// decoded from: a payload whose program bytes are identical shares the
+    /// entry's allocation instead of decoding another copy. Bounded by
+    /// [`FP_MEMO_CAP`] like the memos.
+    programs: Mutex<HashMap<ContentHash, InternedProgram>>,
 }
 
 impl Default for ArtifactStore {
@@ -1052,37 +1094,39 @@ impl Default for ArtifactStore {
     /// analysis artifacts last.
     fn default() -> Self {
         Self {
-            catalogs: Stage::memory("catalogs", 1),
-            profiles: Stage::persisted(
-                "ipc_profiles",
-                6,
-                pack::encode_profile,
-                pack::decode_profile,
-            ),
-            typings: Stage::persisted("typings", 7, pack::encode_typing, pack::decode_typing),
+            catalogs: Stage::persisted("catalogs", 1, pack::encode_catalog, pack::decode_catalog),
+            profiles: Stage::persisted("ipc_profiles", 6, pack::encode_profile, |bytes, _| {
+                pack::decode_profile(bytes)
+            }),
+            typings: Stage::persisted("typings", 7, pack::encode_typing, |bytes, _| {
+                pack::decode_typing(bytes)
+            }),
             regions: Stage::memory("regions", 4),
             instrumented: Stage::persisted(
                 "instrumented",
                 2,
                 pack::encode_instrumented,
-                pack::decode_instrumented,
+                pack::decode_instrumented_with,
             ),
             baselines: Stage::persisted(
                 "baselines",
                 3,
                 pack::encode_instrumented,
-                pack::decode_instrumented,
+                pack::decode_instrumented_with,
             ),
             isolated: Stage::persisted(
                 "isolated_runtimes",
                 5,
                 pack::encode_runtimes,
-                pack::decode_runtimes,
+                |bytes, _| pack::decode_runtimes(bytes),
             ),
-            cells: Stage::persisted("cells", 0, pack::encode_cell, pack::decode_cell),
+            cells: Stage::persisted("cells", 0, pack::encode_cell, |bytes, _| {
+                pack::decode_cell(bytes)
+            }),
             budget: None,
             program_fps: Mutex::default(),
             instrumented_fps: Mutex::default(),
+            programs: Mutex::default(),
         }
     }
 }
@@ -1231,25 +1275,63 @@ impl ArtifactStore {
 
     /// The content fingerprint of a program (memoized per allocation).
     ///
-    /// The fingerprint hashes the program's full textual listing — every
-    /// instruction, memory reference, and terminator — so two structurally
-    /// identical programs share artifacts even if generated separately.
+    /// The fingerprint hashes the program's phase-pack encoding
+    /// ([`pack::encode_program`]) — its name and every instruction, memory
+    /// reference, and terminator — so two structurally identical programs
+    /// share artifacts even if generated separately, and a program decoded
+    /// from a payload is fingerprinted straight from the payload's bytes.
     pub fn program_fingerprint(&self, program: &Arc<Program>) -> ContentHash {
         let key = Arc::as_ptr(program) as usize;
         if let Some((_, hash)) = self.program_fps.lock().get(&key) {
             return *hash;
         }
-        let mut hasher = StableHasher::new();
-        hasher.write_str("program");
-        hasher.write_str(program.name());
-        hasher.write_str(&program.to_listing());
-        let hash = hasher.finish();
+        let hash = {
+            let _span = phase_trace::span("fingerprint");
+            program_bytes_fingerprint(&pack::encode_program(program))
+        };
+        self.remember_program(program, hash);
+        hash
+    }
+
+    /// Memoizes `program`'s fingerprint.
+    fn remember_program(&self, program: &Arc<Program>, hash: ContentHash) {
         let mut memo = self.program_fps.lock();
         if memo.len() >= FP_MEMO_CAP {
             memo.clear();
         }
-        memo.insert(key, (Arc::clone(program), hash));
-        hash
+        memo.insert(Arc::as_ptr(program) as usize, (Arc::clone(program), hash));
+    }
+
+    /// The program behind `bytes` (an [`pack::encode_program`] field of a
+    /// payload being loaded): the interned allocation when an earlier
+    /// payload carried identical bytes, otherwise a fresh, validated decode
+    /// that later payloads will share. Either way the program's fingerprint
+    /// is memoized from the bytes, so keying its artifacts re-encodes
+    /// nothing.
+    fn intern_program(&self, bytes: &[u8]) -> Result<Arc<Program>, pack::PackError> {
+        let hash = program_bytes_fingerprint(bytes);
+        if let Some((program, known)) = self.programs.lock().get(&hash) {
+            if known.as_slice() == bytes {
+                return Ok(Arc::clone(program));
+            }
+        }
+        let program = Arc::new(pack::decode_program(bytes)?);
+        self.remember_program(&program, hash);
+        let mut table = self.programs.lock();
+        if table.len() >= FP_MEMO_CAP {
+            table.clear();
+        }
+        // A racing load may have interned these bytes first (share its
+        // copy); another program under the same fingerprint keeps its entry
+        // (this one stays unshared).
+        let (interned, known) = table
+            .entry(hash)
+            .or_insert_with(|| (Arc::clone(&program), bytes.to_vec()));
+        Ok(if known.as_slice() == bytes {
+            Arc::clone(interned)
+        } else {
+            program
+        })
     }
 
     /// The content fingerprint of an instrumented program: the underlying
@@ -1482,11 +1564,11 @@ impl ArtifactStore {
     /// Spills the persistable stages to `dir` as phase-pack.
     ///
     /// Writes `index.json` (every stage's counters), one phase-pack file per
-    /// stage in [`SPILL_STAGES`] — typings, IPC profiles, isolated runtimes,
-    /// instrumented programs, baseline twins and whole simulation cells —
-    /// and `manifest.json` (format name, pack version, producing toolchain,
-    /// and a content hash over every spilled key — the value CI cache keys
-    /// hang off).
+    /// stage in [`SPILL_STAGES`] — catalogues, typings, IPC profiles,
+    /// isolated runtimes, instrumented programs, baseline twins and whole
+    /// simulation cells — and `manifest.json` (format name, pack version,
+    /// producing toolchain, and a content hash over every spilled key — the
+    /// value CI cache keys hang off).
     pub fn spill_to_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
         let _span = phase_trace::span("store-spill");
         std::fs::create_dir_all(dir)?;
@@ -1625,6 +1707,14 @@ impl ArtifactStore {
     }
 }
 
+/// The fingerprint of a program's [`pack::encode_program`] bytes.
+fn program_bytes_fingerprint(bytes: &[u8]) -> ContentHash {
+    let mut hasher = StableHasher::new();
+    hasher.write_str("program");
+    hasher.write_blob(bytes);
+    hasher.finish()
+}
+
 /// Why `dir`'s manifest rules the directory out, or `None` when it names a
 /// phase-pack spill of this pack version and toolchain. Only failing to read
 /// a manifest that exists is an `Err`.
@@ -1728,6 +1818,36 @@ mod tests {
         let other = store.catalog(&CatalogSpec::standard(0.04, 8));
         assert!(!Arc::ptr_eq(&first, &other));
         assert_eq!(store.snapshot().stage("catalogs").unwrap().entries, 2);
+    }
+
+    #[test]
+    fn interning_shares_only_identical_program_bytes() {
+        let store = ArtifactStore::new();
+        let catalog = CatalogSpec::standard(0.04, 7).build();
+        let (a, b) = (
+            catalog.benchmarks()[0].program(),
+            catalog.benchmarks()[1].program(),
+        );
+        let (a_bytes, b_bytes) = (pack::encode_program(a), pack::encode_program(b));
+        let first = store.intern_program(&a_bytes).unwrap();
+        assert!(Arc::ptr_eq(
+            &first,
+            &store.intern_program(&a_bytes).unwrap()
+        ));
+        assert_eq!(
+            store.program_fingerprint(&first),
+            store.program_fingerprint(a)
+        );
+
+        // Plant `a` under `b`'s fingerprint, as a hash collision would:
+        // `b`'s bytes must still come back as `b`.
+        store.programs.lock().insert(
+            program_bytes_fingerprint(&b_bytes),
+            (Arc::clone(a), a_bytes.clone()),
+        );
+        let second = store.intern_program(&b_bytes).unwrap();
+        assert!(!Arc::ptr_eq(&second, a));
+        assert_eq!(pack::encode_program(&second), b_bytes);
     }
 
     #[test]

@@ -429,7 +429,10 @@ fn claim_chunk(cursor: &AtomicUsize, cell_count: usize, workers: usize) -> Optio
 fn run_cell(index: usize, spec: &CellSpec, store: Option<&ArtifactStore>) -> CellResult {
     let cached = match store {
         Some(store) => {
-            let key = store.cell_key(&spec.machine, &spec.policy, &spec.sim, &spec.slots);
+            let key = {
+                let _span = phase_trace::span("cell-key");
+                store.cell_key(&spec.machine, &spec.policy, &spec.sim, &spec.slots)
+            };
             store.cell(key, || compute_cell(spec))
         }
         None => Arc::new(compute_cell(spec)),

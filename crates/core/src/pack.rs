@@ -3,7 +3,7 @@
 //! phase-pack is the store's only spill format: length-prefixed records of
 //! varint-packed fields, so numbers never round-trip through text and a load
 //! never builds a document model; a file header carrying the format version
-//! and the producing toolchain; and a per-record FNV-64 checksum so a
+//! and the producing toolchain; and a per-record 64-bit checksum so a
 //! bit-flipped artifact is *skipped with a structured error* instead of
 //! deserialized wrong. Decoding never panics — every failure mode is a
 //! [`PackError`].
@@ -16,10 +16,15 @@
 //!   version + toolchain + stage header, then `(key, payload, checksum)`
 //!   records.
 //! * **Artifact codecs** — `encode_*`/`decode_*` pairs for every stage the
-//!   store spills (typings, IPC profiles, isolated runtimes, instrumented
-//!   programs, whole simulation cells). Encoders are deterministic (sorted
-//!   iteration, bit-pattern floats), so encode→decode→encode is
-//!   bit-identical — the property the round-trip battery pins.
+//!   store spills (catalogues, typings, IPC profiles, isolated runtimes,
+//!   instrumented programs, whole simulation cells). Encoders are
+//!   deterministic (sorted iteration, bit-pattern floats), so
+//!   encode→decode→encode is bit-identical — the property the round-trip
+//!   battery pins. A payload that carries a program (catalogues,
+//!   instrumented programs and baseline twins) holds it as one
+//!   length-prefixed [`encode_program`] field, so a loader can find, hash
+//!   and compare those bytes without decoding them, and decode each
+//!   distinct program once ([`ProgramSource`]).
 //!
 //! [`base64_encode`]/[`base64_decode`] also live here: the network artifact
 //! cache ships these same payloads over the NDJSON wire.
@@ -36,8 +41,9 @@ use phase_marking::{Granularity, InstrumentedProgram, MarkingConfig, PhaseMark};
 use phase_online::OnlineStats;
 use phase_runtime::TunerStats;
 use phase_sched::{Pid, ProcessRecord, ProcessStats, SimResult};
+use phase_workload::{Benchmark, BenchmarkProfile, Catalog, PhaseKind, PhaseSpec};
 
-use crate::artifacts::{CachedCell, ContentHash};
+use crate::artifacts::{CachedCell, ContentHash, StableHasher};
 use crate::pipeline::{IpcProfileArtifact, IpcProfileRow};
 
 /// The four magic bytes opening every pack file.
@@ -45,7 +51,7 @@ pub const PACK_MAGIC: [u8; 4] = *b"PPK1";
 
 /// The pack format version; bumped on any layout change so a stale spill is
 /// rejected structurally, never deserialized wrong.
-pub const PACK_VERSION: u64 = 2;
+pub const PACK_VERSION: u64 = 3;
 
 /// The toolchain tag stamped into every pack file: artifacts are only
 /// reusable across processes built from the same crate version, because the
@@ -54,7 +60,7 @@ pub fn toolchain_tag() -> &'static str {
     concat!("phase/", env!("CARGO_PKG_VERSION"))
 }
 
-/// FNV-1a over a byte slice — the per-record checksum.
+/// FNV-1a over a byte slice.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in bytes {
@@ -317,7 +323,7 @@ pub struct PackFile {
 }
 
 /// Frames `records` into one pack file for `stage`: header (magic, version,
-/// toolchain, stage, count) then `key | length-prefixed payload | FNV-64`
+/// toolchain, stage, count) then `key | length-prefixed payload | checksum`
 /// per record.
 pub fn write_pack_file(stage: &str, records: &[(ContentHash, Vec<u8>)]) -> Vec<u8> {
     let mut w = PackWriter::new();
@@ -330,9 +336,18 @@ pub fn write_pack_file(stage: &str, records: &[(ContentHash, Vec<u8>)]) -> Vec<u
         w.u64_fixed(key.hi);
         w.u64_fixed(key.lo);
         w.bytes(payload);
-        w.u64_fixed(fnv64(payload));
+        w.u64_fixed(record_checksum(payload));
     }
     w.into_bytes()
+}
+
+/// The per-record checksum: the low half of the payload's
+/// [`StableHasher::write_blob`] hash, which takes eight bytes per step so
+/// that checksumming stays a small part of a spill load.
+fn record_checksum(payload: &[u8]) -> u64 {
+    let mut hasher = StableHasher::new();
+    hasher.write_blob(payload);
+    hasher.finish().lo
 }
 
 /// Reads a pack file written by [`write_pack_file`].
@@ -372,7 +387,7 @@ pub fn read_pack_file(bytes: &[u8], expected_stage: &str) -> Result<PackFile, Pa
         };
         match read_one(&mut r) {
             Ok((key, payload, checksum)) => {
-                if fnv64(&payload) == checksum {
+                if record_checksum(&payload) == checksum {
                     file.records.push((key, payload));
                 } else {
                     // The framing survived, only the payload is damaged:
@@ -737,11 +752,39 @@ fn read_program(r: &mut PackReader<'_>) -> Result<Program, PackError> {
     Program::new(name, entry, procedures).map_err(|e| malformed(format!("program rejected: {e}")))
 }
 
-/// Encodes an instrumented program (the full underlying program inline, then
-/// the marking config, entry type, and every phase mark).
+/// Encodes a program alone: its name, procedures, blocks, instructions and
+/// terminators. These bytes are what the artifact store fingerprints a
+/// program by, and what every program-carrying payload embeds.
+pub fn encode_program(program: &Program) -> Vec<u8> {
+    let mut w = PackWriter::new();
+    write_program(&mut w, program);
+    w.into_bytes()
+}
+
+/// Decodes and validates a program written by [`encode_program`].
+pub fn decode_program(bytes: &[u8]) -> Result<Program, PackError> {
+    let mut r = PackReader::new(bytes);
+    let program = read_program(&mut r)?;
+    r.finish()?;
+    Ok(program)
+}
+
+/// Where a decoder gets the program behind an embedded [`encode_program`]
+/// field: a fresh decode (as [`decode_instrumented`] does), or the artifact
+/// store's intern table, which hands every payload of one program the same
+/// allocation.
+pub type ProgramSource<'a> = &'a dyn Fn(&[u8]) -> Result<Arc<Program>, PackError>;
+
+fn fresh_program(bytes: &[u8]) -> Result<Arc<Program>, PackError> {
+    decode_program(bytes).map(Arc::new)
+}
+
+/// Encodes an instrumented program (the underlying program as one
+/// length-prefixed [`encode_program`] field, then the marking config, entry
+/// type, and every phase mark).
 pub fn encode_instrumented(instrumented: &InstrumentedProgram) -> Vec<u8> {
     let mut w = PackWriter::new();
-    write_program(&mut w, instrumented.program());
+    w.bytes(&encode_program(instrumented.program()));
     w.u64(match instrumented.config().granularity {
         Granularity::BasicBlock => 0,
         Granularity::Interval => 1,
@@ -765,8 +808,16 @@ pub fn encode_instrumented(instrumented: &InstrumentedProgram) -> Vec<u8> {
 /// (the id of mark *i* is *i* — the invariant
 /// [`InstrumentedProgram::from_parts`] maintains).
 pub fn decode_instrumented(bytes: &[u8]) -> Result<InstrumentedProgram, PackError> {
+    decode_instrumented_with(bytes, &fresh_program)
+}
+
+/// [`decode_instrumented`] with the program taken from `programs`.
+pub fn decode_instrumented_with(
+    bytes: &[u8],
+    programs: ProgramSource<'_>,
+) -> Result<InstrumentedProgram, PackError> {
     let mut r = PackReader::new(bytes);
-    let program = Arc::new(read_program(&mut r)?);
+    let program = programs(r.bytes()?)?;
     let granularity = match r.u64()? {
         0 => Granularity::BasicBlock,
         1 => Granularity::Interval,
@@ -797,6 +848,77 @@ pub fn decode_instrumented(bytes: &[u8]) -> Result<InstrumentedProgram, PackErro
     Ok(InstrumentedProgram::from_parts(
         program, config, marks, entry_type,
     ))
+}
+
+/// Encodes a catalogue: per benchmark, its profile and then its program as
+/// one length-prefixed [`encode_program`] field.
+pub fn encode_catalog(catalog: &Catalog) -> Vec<u8> {
+    let mut w = PackWriter::new();
+    w.usize(catalog.len());
+    for benchmark in catalog.benchmarks() {
+        let profile = benchmark.profile();
+        w.str(&profile.name);
+        w.u64(u64::from(profile.repeats));
+        w.usize(profile.phases.len());
+        for phase in &profile.phases {
+            w.u64(match phase.kind {
+                PhaseKind::CpuInteger => 0,
+                PhaseKind::CpuFloat => 1,
+                PhaseKind::MemoryStreaming => 2,
+                PhaseKind::MemoryPointerChase => 3,
+                PhaseKind::Balanced => 4,
+            });
+            w.u64(u64::from(phase.loop_trips));
+            w.u64(u64::from(phase.inner_trips));
+            w.usize(phase.block_size);
+            w.u64(phase.working_set_bytes);
+            w.bool(phase.uniform);
+        }
+        w.bytes(&encode_program(benchmark.program()));
+    }
+    w.into_bytes()
+}
+
+/// Decodes a catalogue, taking its programs from `programs`.
+pub fn decode_catalog(bytes: &[u8], programs: ProgramSource<'_>) -> Result<Catalog, PackError> {
+    let mut r = PackReader::new(bytes);
+    let count = r.usize()?;
+    let mut benchmarks = Vec::with_capacity(count.min(bytes.len()));
+    for _ in 0..count {
+        let name = r.str()?;
+        let repeats = r.u32()?;
+        let phase_count = r.usize()?;
+        let mut phases = Vec::with_capacity(phase_count.min(r.remaining()));
+        for _ in 0..phase_count {
+            phases.push(PhaseSpec {
+                kind: match r.u64()? {
+                    0 => PhaseKind::CpuInteger,
+                    1 => PhaseKind::CpuFloat,
+                    2 => PhaseKind::MemoryStreaming,
+                    3 => PhaseKind::MemoryPointerChase,
+                    4 => PhaseKind::Balanced,
+                    tag => return Err(malformed(format!("phase-kind tag {tag}"))),
+                },
+                loop_trips: r.u32()?,
+                inner_trips: r.u32()?,
+                block_size: r.usize()?,
+                working_set_bytes: r.u64()?,
+                uniform: r.bool()?,
+            });
+        }
+        // `BenchmarkProfile::new`'s invariants, as structured errors.
+        if phases.is_empty() || repeats == 0 {
+            return Err(malformed(format!("benchmark '{name}' runs no phase")));
+        }
+        let profile = BenchmarkProfile {
+            name,
+            phases,
+            repeats,
+        };
+        benchmarks.push(Benchmark::from_parts(profile, programs(r.bytes()?)?));
+    }
+    r.finish()?;
+    Ok(Catalog::from_benchmarks(benchmarks))
 }
 
 fn write_process_stats(w: &mut PackWriter, stats: &ProcessStats) {
@@ -1007,6 +1129,21 @@ mod tests {
         assert!(base64_decode("abc").is_err(), "bad length");
         assert!(base64_decode("ab=c").is_err(), "misplaced padding");
         assert!(base64_decode("a¬cd").is_err(), "non-alphabet bytes");
+    }
+
+    #[test]
+    fn catalogues_round_trip_bit_identically() {
+        let catalog = phase_workload::CatalogSpec::drifting(0.05, 3).build();
+        let encoded = encode_catalog(&catalog);
+        let decoded = decode_catalog(&encoded, &fresh_program).expect("decode");
+        assert_eq!(encode_catalog(&decoded), encoded);
+        for (original, copy) in catalog.benchmarks().iter().zip(decoded.benchmarks()) {
+            assert_eq!(copy.profile(), original.profile());
+            assert_eq!(copy.program(), original.program());
+        }
+        let mut truncated = encoded.clone();
+        truncated.pop();
+        assert!(decode_catalog(&truncated, &fresh_program).is_err());
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! content-addressed cache so sweeps reuse every stage whose inputs did not
 //! change.
 
+use std::sync::Arc;
+
 use phase_amp::{CostModel, MachineSpec, SharingContext};
 use phase_analysis::{
     assign_block_types, typing_from_ipc_profiles, BlockTyping, StaticTypingConfig,
@@ -228,9 +230,10 @@ pub fn regions_stage(
 }
 
 /// Stage 5 — instrumentation: find phase transitions between sections and
-/// attach one phase mark per transition edge.
+/// attach one phase mark per transition edge. The instrumented program
+/// shares `program` rather than copying it.
 pub fn instrument_stage(
-    program: &Program,
+    program: &Arc<Program>,
     regions: &ProgramRegions,
     marking: &MarkingConfig,
 ) -> InstrumentedProgram {
@@ -250,7 +253,7 @@ pub fn type_blocks(
 /// Runs the full static pipeline — profiling, typing, summarization,
 /// instrumentation — without consulting an artifact store.
 pub fn prepare_program(
-    program: &Program,
+    program: &Arc<Program>,
     machine: &MachineSpec,
     config: &PipelineConfig,
 ) -> InstrumentedProgram {
@@ -260,8 +263,8 @@ pub fn prepare_program(
 }
 
 /// Produces an uninstrumented twin of a program (zero phase marks), used for
-/// the stock-Linux baseline runs.
-pub fn uninstrumented(program: &Program) -> InstrumentedProgram {
+/// the stock-Linux baseline runs. The twin shares `program`.
+pub fn uninstrumented(program: &Arc<Program>) -> InstrumentedProgram {
     let typing = BlockTyping::new(0);
     let marking = MarkingConfig::paper_best();
     let regions = regions_stage(program, &typing, &marking);
@@ -276,7 +279,7 @@ mod tests {
 
     /// A program alternating a CPU-heavy and a memory-heavy block inside a
     /// loop.
-    fn two_phase_program() -> Program {
+    fn two_phase_program() -> Arc<Program> {
         let mut builder = ProgramBuilder::new("two-phase");
         let main = builder.declare_procedure("main");
         let mut body = builder.procedure_builder();
@@ -307,7 +310,7 @@ mod tests {
         body.loop_branch(latch, cpu, exit, 10);
         body.terminate(exit, Terminator::Exit);
         builder.define_procedure(main, body).unwrap();
-        builder.build().unwrap()
+        Arc::new(builder.build().unwrap())
     }
 
     fn machine() -> MachineSpec {

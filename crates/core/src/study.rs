@@ -1156,7 +1156,7 @@ fn engine_rows<H: PhaseHook + IntervalHook>(
 
 /// One static-pipeline stage applied to one program, its output discarded
 /// through `black_box` so the optimiser cannot skip the work.
-type LayerPass<'a> = Box<dyn Fn(&Program) + 'a>;
+type LayerPass<'a> = Box<dyn Fn(&Arc<Program>) + 'a>;
 
 /// The static-pipeline stages (the paper's Section III) the `layer/*` rows
 /// time, in pipeline order: the CFG analyses, k-means block typing, and the

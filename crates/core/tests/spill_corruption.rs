@@ -8,7 +8,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use phase_core::pack::{read_pack_file, write_pack_file, PackReader, PackWriter};
+use phase_core::substrate::ir::{Instruction, Program, ProgramBuilder, Terminator};
 use phase_core::substrate::sched::SimResult;
+use phase_core::substrate::workload::CatalogSpec;
 use phase_core::{
     prepare_workload_cached, ArtifactStore, CachedCell, ContentHash, ExperimentConfig,
     SpillLoadReport, SPILL_STAGES,
@@ -284,5 +287,174 @@ fn bounded_store_loads_binary_spill_within_budget() {
         "budget overrun: {} > {budget}",
         bounded.resident_bytes()
     );
+    std::fs::remove_dir_all(&golden).ok();
+}
+
+/// A one-block program of 24 integer instructions, the `odd`-th of which
+/// (if any) is a floating-point multiply instead.
+fn one_block_program(odd: Option<usize>) -> Arc<Program> {
+    let mut builder = ProgramBuilder::new("near-twin");
+    let main = builder.declare_procedure("main");
+    let mut body = builder.procedure_builder();
+    let block = body.add_block();
+    body.push_all(
+        block,
+        (0..24).map(|i| {
+            if Some(i) == odd {
+                Instruction::fp_mul()
+            } else {
+                Instruction::int_alu()
+            }
+        }),
+    );
+    body.terminate(block, Terminator::Exit);
+    builder
+        .define_procedure(main, body)
+        .expect("valid procedure");
+    Arc::new(builder.build().expect("valid program"))
+}
+
+#[test]
+fn programs_differing_in_one_instruction_never_share() {
+    let (a, b) = (one_block_program(None), one_block_program(Some(7)));
+    let config = ExperimentConfig::smoke_test();
+    let store = ArtifactStore::new();
+    for program in [&a, &b] {
+        store.baseline(program);
+        store.instrumented(program, &config.machine, &config.pipeline);
+    }
+    let dir = temp_dir("near-twins");
+    store.spill_to_dir(&dir).expect("spill");
+    let fresh = ArtifactStore::new();
+    let report = fresh.load_spill_report(&dir).expect("load succeeds");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+
+    // Look the artifacts up through separately built copies, so the loaded
+    // programs are the ones the spill interned.
+    let loaded = |program: &Arc<Program>| {
+        let copy = Arc::new(Program::clone(program));
+        let baseline = fresh.baseline(&copy);
+        let instrumented = fresh.instrumented(&copy, &config.machine, &config.pipeline);
+        assert!(Arc::ptr_eq(baseline.program(), instrumented.program()));
+        assert_eq!(baseline.program(), program);
+        Arc::clone(baseline.program())
+    };
+    let (loaded_a, loaded_b) = (loaded(&a), loaded(&b));
+    assert!(!Arc::ptr_eq(&loaded_a, &loaded_b));
+    assert_ne!(loaded_a, loaded_b);
+    assert_eq!(
+        fresh.snapshot().total_misses(),
+        0,
+        "both came from the spill"
+    );
+}
+
+/// `program` (one `encode_program` field) with its entry procedure id
+/// replaced by one that does not exist.
+fn with_missing_entry(program: &[u8]) -> Vec<u8> {
+    let mut r = PackReader::new(program);
+    r.str().expect("program name");
+    let entry_at = program.len() - r.remaining();
+    r.u64().expect("entry procedure");
+    let rest_at = program.len() - r.remaining();
+    let mut w = PackWriter::new();
+    w.u64(999);
+    [&program[..entry_at], &w.into_bytes(), &program[rest_at..]].concat()
+}
+
+#[test]
+fn a_malformed_program_under_a_valid_checksum_is_skipped_alone() {
+    let golden = temp_dir("bad-program-golden");
+    let store = populated_store();
+    store.spill_to_dir(&golden).expect("spill");
+    let intact = load_fresh(&golden);
+
+    // Rewrite the first baseline's program and re-frame the file, so the
+    // record's checksum is valid and only its content is wrong.
+    let dir = copy_spill(&golden, "bad-program");
+    let path = dir.join("baselines.ppk");
+    let mut file =
+        read_pack_file(&std::fs::read(&path).expect("read"), "baselines").expect("intact file");
+    let (victim, payload) = &mut file.records[0];
+    let mut r = PackReader::new(payload);
+    let program = r.bytes().expect("length-prefixed program");
+    let mut w = PackWriter::new();
+    w.bytes(&with_missing_entry(program));
+    let mut damaged = w.into_bytes();
+    damaged.extend_from_slice(&payload[payload.len() - r.remaining()..]);
+    *payload = damaged;
+    let victim = *victim;
+    std::fs::write(&path, write_pack_file("baselines", &file.records)).expect("rewrite");
+
+    let fresh = ArtifactStore::new();
+    let report = fresh.load_spill_report(&dir).expect("load succeeds");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&golden).ok();
+    assert_eq!(report.skipped, 1, "{:?}", report.errors);
+    assert_eq!(report.loaded, intact.loaded - 1);
+    assert_eq!(report.errors.len(), 1);
+    assert!(
+        report.errors[0].contains(&victim.to_string()) && report.errors[0].contains("program"),
+        "{:?}",
+        report.errors
+    );
+
+    // Every other artifact loaded, and each benchmark's artifacts still
+    // share its catalogue program — the damaged one's included.
+    let config = ExperimentConfig::smoke_test();
+    let catalog = fresh.catalog(&CatalogSpec::standard(
+        config.catalog_scale,
+        config.workload_seed,
+    ));
+    for bench in catalog.benchmarks() {
+        let program = bench.program();
+        let instrumented = fresh.instrumented(program, &config.machine, &config.pipeline);
+        assert!(Arc::ptr_eq(instrumented.program(), program));
+        assert!(Arc::ptr_eq(fresh.baseline(program).program(), program));
+    }
+    let stats = fresh.snapshot();
+    assert_eq!(stats.stage("baselines").unwrap().misses, 1);
+    assert_eq!(stats.total_misses(), 1);
+}
+
+#[test]
+fn version_two_spills_are_a_recorded_cold_start() {
+    let golden = temp_dir("version-two-golden");
+    let store = populated_store();
+    store.spill_to_dir(&golden).expect("spill");
+
+    // What a build that wrote pack version 2 left behind: its manifest and
+    // every file header say 2.
+    let dir = copy_spill(&golden, "version-two");
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+    let version_field = format!("\"version\": {}", phase_core::pack::PACK_VERSION);
+    assert!(manifest.contains(&version_field));
+    std::fs::write(
+        dir.join("manifest.json"),
+        manifest.replace(&version_field, "\"version\": 2"),
+    )
+    .expect("rewrite manifest");
+    for stage in SPILL_STAGES {
+        let path = dir.join(format!("{stage}.ppk"));
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[phase_core::pack::PACK_MAGIC.len()] = 2;
+        assert!(matches!(
+            read_pack_file(&bytes, stage),
+            Err(phase_core::pack::PackError::BadVersion { found: 2 })
+        ));
+        std::fs::write(&path, bytes).expect("rewrite header");
+    }
+
+    let report = load_fresh(&dir);
+    assert_eq!(report.loaded, 0);
+    assert_eq!(report.skipped, 0);
+    assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
+    assert!(
+        report.errors[0].contains("pack version 2"),
+        "{:?}",
+        report.errors
+    );
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&golden).ok();
 }

@@ -113,10 +113,11 @@ pub struct InstrumentedProgram {
 }
 
 impl InstrumentedProgram {
-    /// Reassembles an instrumented program from its serialized parts — the
-    /// decode path of an artifact spill. Mark ids are renumbered by position
-    /// and the edge index and space-overhead stats are rebuilt, so the result
-    /// is indistinguishable from one produced by [`instrument`] on the same
+    /// Assembles an instrumented program from its parts — the one
+    /// constructor behind [`instrument_with_regions`] and the decode path of
+    /// an artifact spill. Mark ids are renumbered by position and the edge
+    /// index and space-overhead stats are rebuilt, so a decoded program is
+    /// indistinguishable from one produced by [`instrument`] on the same
     /// inputs.
     pub fn from_parts(
         program: Arc<Program>,
@@ -203,6 +204,9 @@ impl InstrumentedProgram {
 /// Runs the full static phase-transition analysis and marking pipeline over a
 /// program: build sections at the configured granularity, find transitions,
 /// and attach one phase mark per transition edge.
+///
+/// The result owns a fresh copy of `program`; to share a program that is
+/// already behind an [`Arc`], use [`instrument_with_regions`].
 pub fn instrument(
     program: &Program,
     typing: &BlockTyping,
@@ -213,61 +217,42 @@ pub fn instrument(
         .iter()
         .map(|p| (p.id(), RegionMap::build(p, typing, config)))
         .collect();
-    instrument_with_regions(program, &regions, config)
+    instrument_with_regions(&Arc::new(program.clone()), &regions, config)
 }
 
 /// Like [`instrument`], but with pre-computed region maps (useful when the
-/// caller also needs the regions, e.g. for reporting).
+/// caller also needs the regions, e.g. for reporting). The result shares
+/// `program` instead of copying it.
 pub fn instrument_with_regions(
-    program: &Program,
+    program: &Arc<Program>,
     regions: &ProgramRegions,
     config: &MarkingConfig,
 ) -> InstrumentedProgram {
-    let transitions = find_transitions(program, regions, config);
-    let entry_type = entry_phase_type(program, regions);
-
-    let mut marks = Vec::with_capacity(transitions.len());
-    let mut by_edge = HashMap::with_capacity(transitions.len());
-    for (idx, transition) in transitions.iter().enumerate() {
-        let Transition {
-            from,
-            to,
-            to_type,
-            from_type,
-        } = *transition;
-        let id = MarkId(idx as u32);
-        marks.push(PhaseMark {
-            id,
-            from,
-            to,
-            phase_type: to_type,
-            previous_type: from_type,
-            size_bytes: MARK_SIZE_BYTES,
-        });
-        by_edge.insert((from, to), id);
-    }
-
-    let original_bytes = program.stats().size_bytes;
-    let added_bytes: u64 = marks.iter().map(|m| u64::from(m.size_bytes)).sum();
-    let stats = MarkStats {
-        mark_count: marks.len(),
-        added_bytes,
-        original_bytes,
-        space_overhead: if original_bytes == 0 {
-            0.0
-        } else {
-            added_bytes as f64 / original_bytes as f64
-        },
-    };
-
-    InstrumentedProgram {
-        program: Arc::new(program.clone()),
-        config: *config,
+    let marks = find_transitions(program, regions, config)
+        .into_iter()
+        .map(
+            |Transition {
+                 from,
+                 to,
+                 to_type,
+                 from_type,
+             }| PhaseMark {
+                // `from_parts` numbers the marks by position.
+                id: MarkId(0),
+                from,
+                to,
+                phase_type: to_type,
+                previous_type: from_type,
+                size_bytes: MARK_SIZE_BYTES,
+            },
+        )
+        .collect();
+    InstrumentedProgram::from_parts(
+        Arc::clone(program),
+        *config,
         marks,
-        by_edge,
-        entry_type,
-        stats,
-    }
+        entry_phase_type(program, regions),
+    )
 }
 
 #[cfg(test)]

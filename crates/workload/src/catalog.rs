@@ -28,6 +28,13 @@ impl Benchmark {
         Self { profile, program }
     }
 
+    /// A benchmark from its profile and the program already generated from
+    /// it (the decode path of an artifact spill, which shares one program
+    /// across every artifact built from it).
+    pub fn from_parts(profile: BenchmarkProfile, program: Arc<Program>) -> Self {
+        Self { profile, program }
+    }
+
     /// The benchmark's name (e.g. `183.equake`).
     pub fn name(&self) -> &str {
         &self.profile.name
@@ -68,6 +75,11 @@ impl Catalog {
             .into_iter()
             .map(|p| Benchmark::generate(p.scaled(scale), seed))
             .collect();
+        Self { benchmarks }
+    }
+
+    /// A catalogue of already-built benchmarks, in order.
+    pub fn from_benchmarks(benchmarks: Vec<Benchmark>) -> Self {
         Self { benchmarks }
     }
 

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     body.loop_branch(latch, compute, exit, 200);
     body.terminate(exit, Terminator::Exit);
     builder.define_procedure(main_proc, body)?;
-    let program = builder.build()?;
+    let program = std::sync::Arc::new(builder.build()?);
 
     // 2. Run the static pipeline: type the blocks, find phase transitions,
     //    insert phase marks.

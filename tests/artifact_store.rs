@@ -195,6 +195,65 @@ fn spill_round_trips_through_phase_pack() {
 }
 
 #[test]
+fn stage_artifacts_share_the_catalogue_program() {
+    let store = ArtifactStore::new();
+    let config = smoke_config(MarkingConfig::loop_level(45));
+    let catalog = store.catalog(&CatalogSpec::standard(
+        config.catalog_scale,
+        config.workload_seed,
+    ));
+    for bench in catalog.benchmarks() {
+        let program = bench.program();
+        let instrumented = store.instrumented(program, &config.machine, &config.pipeline);
+        let baseline = store.baseline(program);
+        assert!(
+            Arc::ptr_eq(instrumented.program(), program),
+            "{}",
+            bench.name()
+        );
+        assert!(Arc::ptr_eq(baseline.program(), program), "{}", bench.name());
+    }
+}
+
+#[test]
+fn spill_load_shares_one_program_across_every_artifact_of_it() {
+    let store = ArtifactStore::new();
+    let configs = [
+        smoke_config(MarkingConfig::loop_level(45)),
+        smoke_config(MarkingConfig::basic_block(15, 0)),
+    ];
+    for config in &configs {
+        prepare_workload_cached(config, &store);
+    }
+    let dir = std::env::temp_dir().join(format!("phase-interning-{}", std::process::id()));
+    store.spill_to_dir(&dir).expect("spill succeeds");
+
+    let fresh = ArtifactStore::new();
+    let report = fresh.load_spill_report(&dir).expect("load succeeds");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    let catalog = fresh.catalog(&CatalogSpec::standard(
+        configs[0].catalog_scale,
+        configs[0].workload_seed,
+    ));
+    for bench in catalog.benchmarks() {
+        let program = bench.program();
+        assert!(Arc::ptr_eq(fresh.baseline(program).program(), program));
+        for config in &configs {
+            let instrumented = fresh.instrumented(program, &config.machine, &config.pipeline);
+            assert!(
+                Arc::ptr_eq(instrumented.program(), program),
+                "{} under {}",
+                bench.name(),
+                config.pipeline.marking
+            );
+        }
+    }
+    // Every artifact above came from the spill, none was recomputed.
+    assert_eq!(fresh.snapshot().total_misses(), 0);
+}
+
+#[test]
 fn bounded_store_reproduces_the_unbounded_outcome_within_budget() {
     let config = smoke_config(MarkingConfig::loop_level(45));
     let unbounded = ArtifactStore::new();

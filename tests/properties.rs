@@ -405,7 +405,7 @@ proptest! {
         body.loop_branch(work, work, exit, loop_trips);
         body.terminate(exit, Terminator::Exit);
         builder.define_procedure(main, body).expect("valid procedure");
-        let program = builder.build().expect("valid program");
+        let program = std::sync::Arc::new(builder.build().expect("valid program"));
         let instrumented = std::sync::Arc::new(phase_tuning::uninstrumented(&program));
 
         let slots: Vec<Vec<JobSpec>> = slot_releases
