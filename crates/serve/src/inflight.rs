@@ -17,11 +17,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
+use parking_lot::{Condvar, Mutex};
 use phase_core::ContentHash;
-
-use crate::sync;
 
 #[derive(Debug)]
 enum FlightState<T> {
@@ -64,7 +63,7 @@ impl<T: Clone> Default for SingleFlight<T> {
 impl<T: Clone> SingleFlight<T> {
     /// Joins the flight for `key`, creating it if absent.
     pub(crate) fn join(self: &Arc<Self>, key: ContentHash) -> Entry<T> {
-        let mut flights = sync::lock(&self.flights);
+        let mut flights = self.flights.lock();
         if let Some(flight) = flights.get(&key) {
             return Entry::Follower(Waiter {
                 flight: Arc::clone(flight),
@@ -86,7 +85,7 @@ impl<T: Clone> SingleFlight<T> {
 
     /// How many keys are in flight right now (the `inflight` stats gauge).
     pub(crate) fn len(&self) -> u64 {
-        sync::lock(&self.flights).len() as u64
+        self.flights.lock().len() as u64
     }
 
     /// Followers served from a leader's result so far.
@@ -98,14 +97,14 @@ impl<T: Clone> SingleFlight<T> {
         // Remove from the table *before* publishing: a joiner arriving after
         // publication must start a fresh flight, not read a stale result
         // (the store cache, not the flight table, is the service's memory).
-        let mut flights = sync::lock(&self.flights);
+        let mut flights = self.flights.lock();
         if let Some(current) = flights.get(key) {
             if Arc::ptr_eq(current, flight) {
                 flights.remove(key);
             }
         }
         drop(flights);
-        *sync::lock(&flight.state) = state;
+        *flight.state.lock() = state;
         flight.ready.notify_all();
     }
 }
@@ -151,11 +150,11 @@ impl<T: Clone> Waiter<T> {
     /// coalesced); `None` means the leader abandoned and the caller must
     /// compute for itself.
     pub(crate) fn wait(self) -> Option<T> {
-        let mut state = sync::lock(&self.flight.state);
+        let mut state = self.flight.state.lock();
         loop {
             match &*state {
                 FlightState::Pending => {
-                    state = sync::wait(&self.flight.ready, state);
+                    state = self.flight.ready.wait(state);
                 }
                 FlightState::Done(value) => {
                     self.table.coalesced.fetch_add(1, Ordering::Relaxed);

@@ -14,28 +14,32 @@
 //! cache — the *tune once, run anywhere* amortization the paper argues for,
 //! applied across requests instead of across sweep points.
 //!
-//! Two front ends share one resolution path:
+//! One request pipeline serves every front end:
 //!
-//! * **direct calls** — [`TuningService::handle`], callable from any thread
-//!   through an `Arc<TuningService>`, so concurrent callers run in parallel;
-//! * **newline-delimited JSON** — [`serve_lines`] over any reader/writer
-//!   pair (stdio, an in-memory transcript, a socket) and [`serve_tcp`] /
-//!   [`serve_tcp_with`] over a `TcpListener`, both built on the
-//!   dependency-free `phase_core::json` document model. Malformed requests
-//!   produce structured error responses; they never kill the loop.
+//! 1. **parse** a request line into a [`TuningRequest`] (malformed input
+//!    becomes a structured error response and never kills a loop);
+//! 2. **answer inline** the `stats`, `trace` and artifact kinds;
+//! 3. **coalesce** a study request: it joins the single-flight table for
+//!    its spec hash, and a follower waits for the leader's outcome (safe
+//!    because identical specs resolve to bit-identical reports) without
+//!    taking an execution slot;
+//! 4. **execute** the leader's study under a panic guard — a panicking
+//!    study answers a structured `internal` error — publish the outcome to
+//!    the followers, and count the response.
 //!
-//! The TCP front end is built for throughput, not just correctness
-//! ([`WireConfig`]): a fixed pool of connection workers multiplexes
-//! connections instead of spawning a thread each; study execution runs on a
-//! separate bounded executor pool so a slow study cannot starve cheap
-//! requests; identical concurrent requests are coalesced into a single
-//! execution (single-flight, keyed by spec hash — safe because identical
-//! specs resolve to bit-identical reports); and when the executor queue is
+//! The front ends differ only in where step 4 runs. Direct calls
+//! ([`TuningService::handle`] and [`TuningService::respond`], callable from
+//! any thread through an `Arc<TuningService>`) and [`serve_lines`] over any
+//! reader/writer pair run it on the calling thread. [`serve_tcp`] /
+//! [`serve_tcp_with`] over a `TcpListener` hand it to a bounded executor
+//! pool ([`WireConfig`]): a fixed pool of connection workers multiplexes
+//! connections instead of spawning a thread each, a slow study occupies an
+//! executor slot rather than a connection, and when the executor queue is
 //! full, requests are shed immediately with a structured `overloaded` error
 //! instead of queueing without bound. Admission, shedding, coalescing, and
 //! per-kind latency percentiles are all visible in [`ServiceStats`] (the
-//! `stats` wire request) and in the optional periodic `service-metrics`
-//! NDJSON line.
+//! `stats` request) and in the optional periodic `service-metrics` NDJSON
+//! line.
 //!
 //! A service restarted from a spill directory ([`ServiceConfig::warm_start`]
 //! / [`TuningService::spill_to_dir`]) reloads the store's compact artifacts
@@ -59,7 +63,6 @@ mod pool;
 mod remote;
 mod request;
 mod service;
-mod sync;
 mod wire;
 
 pub use remote::{remote_inventory, remote_push, remote_warm_start, RemoteSyncStats};
@@ -70,6 +73,6 @@ pub use service::{
     KindAdmission, KindLatency, ServiceConfig, ServiceStats, ServingStats, TuningService,
 };
 pub use wire::{
-    emit_metrics_line, serve_lines, serve_lines_capped, serve_tcp, serve_tcp_with, WireConfig,
-    WireSummary, DEFAULT_MAX_LINE_BYTES,
+    emit_metrics_line, serve_lines, serve_tcp, serve_tcp_with, WireConfig, WireSummary,
+    DEFAULT_MAX_LINE_BYTES,
 };

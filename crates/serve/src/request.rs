@@ -31,9 +31,9 @@ pub struct ServeError {
     /// an artifact payload is not valid base64 or does not decode as an
     /// artifact; from the TCP front end also `overloaded` when the bounded
     /// queue sheds a request or connection, `line-too-long` when a request
-    /// line exceeds the cap, `connection-failed` when a stream could not be
-    /// split for reading, and `internal` when an execution worker dies
-    /// mid-request).
+    /// line exceeds the cap, and `connection-failed` when a stream could not
+    /// be split for reading; on any front end, `internal` when a study
+    /// execution panics).
     pub code: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -47,7 +47,7 @@ impl ServeError {
         }
     }
 
-    /// An `internal` error: an execution worker failed mid-request.
+    /// An `internal` error: a study execution panicked or its worker died.
     pub(crate) fn internal(message: impl Into<String>) -> Self {
         Self::new("internal", message)
     }
@@ -148,8 +148,7 @@ pub enum RequestKind {
     },
     /// Fetch one artifact from the service's store by content hash — the
     /// read side of the network artifact cache. Answered inline (no study
-    /// resolution), with concurrent gets for the same `(stage, hash)`
-    /// deduplicated single-flight.
+    /// resolution).
     ArtifactGet {
         /// The store stage (one of [`SPILL_STAGES`]).
         stage: String,
@@ -516,12 +515,13 @@ fn get_str<'a>(doc: &'a JsonValue, name: &str) -> Result<Option<&'a str>, ServeE
     }
 }
 
-fn check_fields(doc: &JsonValue, allowed: &[&str], context: &str) -> Result<(), ServeError> {
+/// Rejects any field of `doc` that is in none of the `allowed` sets.
+fn check_fields(doc: &JsonValue, allowed: &[&[&str]], context: &str) -> Result<(), ServeError> {
     let JsonValue::Object(fields) = doc else {
         return Err(bad(format!("{context} must be a JSON object")));
     };
     for (name, _) in fields {
-        if !allowed.contains(&name.as_str()) {
+        if !allowed.iter().any(|set| set.contains(&name.as_str())) {
             return Err(ServeError::new(
                 "unknown-field",
                 format!("unknown field '{name}' in {context}"),
@@ -538,7 +538,7 @@ fn parse_catalog(
     doc: &JsonValue,
     defaults: &CatalogSpec,
 ) -> Result<(CatalogSpec, bool), ServeError> {
-    check_fields(doc, &["kind", "scale", "seed"], "'catalog'")?;
+    check_fields(doc, &[&["kind", "scale", "seed"]], "'catalog'")?;
     let scale = get_f64(doc, "scale")?.unwrap_or(defaults.scale);
     if !(scale.is_finite() && scale > 0.0 && scale <= MAX_CATALOG_SCALE) {
         return Err(bad(format!(
@@ -573,7 +573,7 @@ fn parse_catalog(
 fn parse_marking(doc: &JsonValue, defaults: MarkingConfig) -> Result<MarkingConfig, ServeError> {
     check_fields(
         doc,
-        &["granularity", "min_section_size", "lookahead_depth"],
+        &[&["granularity", "min_section_size", "lookahead_depth"]],
         "'marking'",
     )?;
     let min = match get_u64(doc, "min_section_size")? {
@@ -721,25 +721,22 @@ pub fn parse_request(line: &str) -> Result<TuningRequest, Box<TuningResponse>> {
             error,
         })
     };
-    check_fields(&doc, REQUEST_FIELDS, "the request").map_err(&fail)?;
+    let allow = |sets: &[&[&str]], context: &str| check_fields(&doc, sets, context).map_err(&fail);
+    allow(&[REQUEST_FIELDS], "the request")?;
     // Fields are validated per kind: a knob the kind cannot consume is an
     // error, not a silent no-op, so a client always learns when a knob had
-    // no effect.
-    const COMMON: &[&str] = &["id", "kind", "expect_hash", "catalog", "machine", "marking"];
-    fn allowed_for(extra: &[&'static str]) -> Vec<&'static str> {
-        let mut allowed = COMMON.to_vec();
-        allowed.extend(extra);
-        allowed
-    }
+    // no effect. Every kind accepts the `BARE` fields.
+    const BARE: &[&str] = &["id", "kind", "expect_hash"];
+    const SPEC: &[&str] = &["catalog", "machine", "marking"];
     let kind = match get_str(&doc, "kind").map_err(&fail)? {
         None => return Err(fail(bad("missing required field 'kind'"))),
         Some("stats") => {
             // A stats request has no spec at all.
-            check_fields(&doc, &["id", "kind", "expect_hash"], "a stats request").map_err(&fail)?;
+            allow(&[BARE], "a stats request")?;
             RequestKind::Stats
         }
         Some("trace") => {
-            check_fields(&doc, &["id", "kind", "target"], "a trace request").map_err(&fail)?;
+            allow(&[BARE, &["target"]], "a trace request")?;
             let target = match get_str(&doc, "target").map_err(&fail)? {
                 Some(target) if !target.is_empty() => target.to_string(),
                 Some(_) => return Err(fail(bad("field 'target' must be a non-empty string"))),
@@ -748,50 +745,34 @@ pub fn parse_request(line: &str) -> Result<TuningRequest, Box<TuningResponse>> {
             RequestKind::Trace { target }
         }
         Some("isolation") => {
-            check_fields(
-                &doc,
-                &allowed_for(&["ipc_threshold"]),
-                "an isolation request",
-            )
-            .map_err(&fail)?;
+            allow(&[BARE, SPEC, &["ipc_threshold"]], "an isolation request")?;
             RequestKind::Isolation(parse_spec(&doc).map_err(&fail)?)
         }
         Some("marks") => {
-            check_fields(&doc, COMMON, "a marks request").map_err(&fail)?;
+            allow(&[BARE, SPEC], "a marks request")?;
             RequestKind::Marks(parse_spec(&doc).map_err(&fail)?)
         }
         Some("comparison") => {
-            check_fields(
-                &doc,
-                &allowed_for(&[
-                    "ipc_threshold",
-                    "horizon_ns",
-                    "slots",
-                    "jobs_per_slot",
-                    "workload_seed",
-                ]),
-                "a comparison request",
-            )
-            .map_err(&fail)?;
+            let shape = [
+                "ipc_threshold",
+                "horizon_ns",
+                "slots",
+                "jobs_per_slot",
+                "workload_seed",
+            ];
+            allow(&[BARE, SPEC, &shape], "a comparison request")?;
             RequestKind::Comparison(parse_spec(&doc).map_err(&fail)?)
         }
         Some("artifact-get") => {
-            check_fields(
-                &doc,
-                &["id", "kind", "expect_hash", "stage", "hash"],
-                "an artifact-get request",
-            )
-            .map_err(&fail)?;
+            allow(&[BARE, &["stage", "hash"]], "an artifact-get request")?;
             let (stage, hash) = parse_artifact_target(&doc).map_err(&fail)?;
             RequestKind::ArtifactGet { stage, hash }
         }
         Some("artifact-put") => {
-            check_fields(
-                &doc,
-                &["id", "kind", "expect_hash", "stage", "hash", "payload"],
+            allow(
+                &[BARE, &["stage", "hash", "payload"]],
                 "an artifact-put request",
-            )
-            .map_err(&fail)?;
+            )?;
             let (stage, hash) = parse_artifact_target(&doc).map_err(&fail)?;
             let payload = match get_str(&doc, "payload").map_err(&fail)? {
                 Some(text) => base64_decode(text).map_err(|e| {
@@ -809,12 +790,7 @@ pub fn parse_request(line: &str) -> Result<TuningRequest, Box<TuningResponse>> {
             }
         }
         Some("artifact-list") => {
-            check_fields(
-                &doc,
-                &["id", "kind", "expect_hash"],
-                "an artifact-list request",
-            )
-            .map_err(&fail)?;
+            allow(&[BARE], "an artifact-list request")?;
             RequestKind::ArtifactList
         }
         Some(other) => {

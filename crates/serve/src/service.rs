@@ -1,9 +1,12 @@
-//! The service core: request resolution over a shared, bounded
-//! [`ArtifactStore`], single-flight coalescing of identical in-flight
-//! requests, and per-kind latency accounting.
+//! The service core: the one request pipeline every front end runs,
+//! request resolution over a shared, bounded [`ArtifactStore`],
+//! single-flight coalescing of identical in-flight requests, and per-kind
+//! latency accounting.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,8 +23,11 @@ use phase_runtime::TunerConfig;
 use phase_sched::SimConfig;
 use phase_workload::CatalogKind;
 
-use crate::inflight::{Entry, SingleFlight};
-use crate::request::{RequestKind, ServeError, TuneSpec, TuningRequest, TuningResponse};
+use crate::inflight::{Completion, Entry, SingleFlight};
+use crate::pool::Executor;
+use crate::request::{
+    parse_request, RequestKind, ServeError, TuneSpec, TuningRequest, TuningResponse,
+};
 
 /// How a [`TuningService`] is built.
 #[derive(Debug, Clone)]
@@ -31,8 +37,9 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Byte budget for the artifact store; `None` grows without bound.
     pub budget_bytes: Option<u64>,
-    /// Spill directory to warm-start from. A missing directory is a normal
-    /// cold start; a present-but-malformed one is an error.
+    /// Spill directory to warm-start from. A missing directory, or a
+    /// damaged or outdated spill, is a recorded cold start (what is intact
+    /// still loads); only an I/O failure reading it is an error.
     pub warm_start: Option<PathBuf>,
     /// Whether identical in-flight requests coalesce onto one execution
     /// (default `true`; disable only to measure the uncoalesced path —
@@ -83,11 +90,15 @@ pub(crate) fn kind_slot(name: &str) -> Option<usize> {
     KIND_NAMES.iter().position(|kind| *kind == name)
 }
 
-/// Shared serving-path counters: what the worker pool, admission queue, and
-/// wire front end record, and what [`ServiceStats`] snapshots. All atomics —
-/// the hot path never takes a lock except the per-kind latency histogram's.
+/// Shared serving-path counters: what the request pipeline, worker pool,
+/// admission queue, and wire front end record, and what [`ServiceStats`]
+/// snapshots. All atomics — the hot path never takes a lock except the
+/// per-kind latency histogram's.
 #[derive(Debug, Default)]
 pub(crate) struct ServeMetrics {
+    requests: AtomicU64,
+    reports: AtomicU64,
+    errors: AtomicU64,
     pub(crate) shed: AtomicU64,
     pub(crate) connections_accepted: AtomicU64,
     pub(crate) connections_active: AtomicU64,
@@ -294,16 +305,18 @@ impl ServiceStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    requests: u64,
-    reports: u64,
-    errors: u64,
-}
-
 /// What one study execution resolves to: the shared report (cheap to hand to
 /// every coalesced follower) or the structured error the spec produced.
 pub(crate) type FlightOutcome = Result<Arc<StudyReport>, ServeError>;
+
+/// A study request on its way to the pipeline's execute step: the owned
+/// request, the single-flight completion to publish through when the
+/// request leads its flight, and when the request arrived.
+pub(crate) struct Job {
+    pub(crate) request: TuningRequest,
+    pub(crate) completion: Option<Completion<FlightOutcome>>,
+    pub(crate) started: Instant,
+}
 
 /// The long-running tuning service. See the crate docs for the front ends.
 #[derive(Debug)]
@@ -312,12 +325,7 @@ pub struct TuningService {
     threads: usize,
     warm_loaded: usize,
     coalesce: bool,
-    counters: Mutex<Counters>,
     inflight: Arc<SingleFlight<FlightOutcome>>,
-    /// Single-flight table for `artifact-get`: concurrent gets for the same
-    /// `(stage, hash)` serialize one store export and share the payload
-    /// `Arc` — a thundering herd of cold workers costs one encode.
-    artifact_flights: Arc<SingleFlight<Option<Arc<Vec<u8>>>>>,
     metrics: ServeMetrics,
     started: Instant,
     metrics_seq: AtomicU64,
@@ -332,24 +340,14 @@ impl TuningService {
             Some(bytes) => ArtifactStore::with_budget(bytes),
             None => ArtifactStore::new(),
         };
-        let mut warm_loaded = 0;
-        if let Some(dir) = &config.warm_start {
-            if dir.exists() {
-                warm_loaded = store.load_spill_report(dir)?.loaded;
-            }
-        }
+        let warm_loaded = match &config.warm_start {
+            Some(dir) if dir.exists() => store.load_spill_report(dir)?.loaded,
+            _ => 0,
+        };
         Ok(Self {
-            store: Arc::new(store),
-            threads: config.threads.max(1),
             warm_loaded,
             coalesce: config.coalesce,
-            counters: Mutex::new(Counters::default()),
-            inflight: Arc::new(SingleFlight::default()),
-            artifact_flights: Arc::new(SingleFlight::default()),
-            metrics: ServeMetrics::default(),
-            started: Instant::now(),
-            metrics_seq: AtomicU64::new(0),
-            recent_traces: Mutex::new(VecDeque::new()),
+            ..Self::with_store(Arc::new(store), config.threads)
         })
     }
 
@@ -360,9 +358,7 @@ impl TuningService {
             threads: threads.max(1),
             warm_loaded: 0,
             coalesce: true,
-            counters: Mutex::new(Counters::default()),
             inflight: Arc::new(SingleFlight::default()),
-            artifact_flights: Arc::new(SingleFlight::default()),
             metrics: ServeMetrics::default(),
             started: Instant::now(),
             metrics_seq: AtomicU64::new(0),
@@ -418,28 +414,91 @@ impl TuningService {
         &self.metrics
     }
 
-    /// Joins the single-flight table for a study request's spec hash, or
-    /// `None` when coalescing is disabled.
-    pub(crate) fn join_flight(&self, request: &TuningRequest) -> Option<Entry<FlightOutcome>> {
-        if !self.coalesce
-            || matches!(
-                request.kind,
-                RequestKind::Stats
-                    | RequestKind::Trace { .. }
-                    | RequestKind::ArtifactGet { .. }
-                    | RequestKind::ArtifactPut { .. }
-                    | RequestKind::ArtifactList
-            )
-        {
-            return None;
-        }
-        Some(self.inflight.join(request.spec_hash()))
+    /// Handles one parsed request on the calling thread. The inline kinds
+    /// are answered by reference; only a study request is copied, into its
+    /// job.
+    pub fn handle(&self, request: &TuningRequest) -> TuningResponse {
+        self.pipeline(Cow::Borrowed(request), Instant::now(), None)
     }
 
-    /// Handles one parsed request.
-    pub fn handle(&self, request: &TuningRequest) -> TuningResponse {
+    /// Parses and handles one request line on the calling thread (what
+    /// [`serve_lines`](crate::serve_lines) calls per line). Parse failures
+    /// become structured error responses.
+    pub fn respond(&self, line: &str) -> TuningResponse {
+        self.respond_on(line, None)
+    }
+
+    /// Parses one request line and runs it through the
+    /// [`pipeline`](Self::pipeline), executing studies on `executor` when
+    /// one is given.
+    pub(crate) fn respond_on(&self, line: &str, executor: Option<&Executor>) -> TuningResponse {
         let started = Instant::now();
-        let response = match &request.kind {
+        let parsed = {
+            let _span = phase_trace::span("parse");
+            parse_request(line)
+        };
+        match parsed {
+            Ok(request) => self.pipeline(Cow::Owned(request), started, executor),
+            Err(error_response) => {
+                self.note_parse_error();
+                *error_response
+            }
+        }
+    }
+
+    /// The one request pipeline every front end runs. Stats, trace and
+    /// artifact requests are answered here. A study request joins its
+    /// flight: a follower waits for the leader's outcome in a
+    /// `coalesced_wait` span and takes no execution slot; a leader (or an
+    /// uncoalesced request) becomes a job for the execute step, which runs
+    /// on the calling thread without an executor and on an executor worker
+    /// with one.
+    fn pipeline(
+        &self,
+        request: Cow<'_, TuningRequest>,
+        started: Instant,
+        executor: Option<&Executor>,
+    ) -> TuningResponse {
+        if let Some(response) = self.answer_inline(&request) {
+            self.finish_request(request.kind.name(), started, &response);
+            return response;
+        }
+        let request = request.into_owned();
+        let entry = self
+            .coalesce
+            .then(|| self.inflight.join(request.spec_hash()));
+        let completion = match entry {
+            Some(Entry::Leader(completion)) => Some(completion),
+            Some(Entry::Follower(waiter)) => {
+                let outcome = {
+                    let _span = phase_trace::span("coalesced_wait");
+                    waiter.wait()
+                };
+                if let Some(outcome) = outcome {
+                    let response = self.response_from_outcome(&request, outcome);
+                    self.finish_request(request.kind.name(), started, &response);
+                    return response;
+                }
+                // The leader was shed or died; execute for ourselves.
+                None
+            }
+            None => None,
+        };
+        let job = Job {
+            request,
+            completion,
+            started,
+        };
+        match executor {
+            Some(executor) => executor.run(job),
+            None => self.execute(job),
+        }
+    }
+
+    /// The answer to a stats, trace or artifact request; `None` for a study
+    /// request, which the pipeline executes.
+    fn answer_inline(&self, request: &TuningRequest) -> Option<TuningResponse> {
+        Some(match &request.kind {
             RequestKind::Stats => TuningResponse::Stats {
                 id: request.id.clone(),
                 stats: self.stats(),
@@ -453,7 +512,7 @@ impl TuningService {
                 id: request.id.clone(),
                 stage: stage.clone(),
                 hash: *hash,
-                payload: self.artifact_get(request, stage, *hash),
+                payload: self.export_payload(stage, *hash),
             },
             RequestKind::ArtifactPut {
                 stage,
@@ -483,58 +542,14 @@ impl TuningService {
                 id: request.id.clone(),
                 stages: self.store.artifact_keys(),
             },
-            _ => {
-                let _span = phase_trace::span("execute");
-                // Direct callers are their own execution threads: the leader
-                // computes inline, followers block on its flight.
-                let outcome = match self.join_flight(request) {
-                    Some(Entry::Follower(waiter)) => match waiter.wait() {
-                        Some(outcome) => outcome,
-                        // The leader abandoned (shed or panicked); compute
-                        // for ourselves rather than failing the request.
-                        None => self.resolve_outcome(request),
-                    },
-                    Some(Entry::Leader(completion)) => {
-                        let outcome = self.resolve_outcome(request);
-                        completion.fulfill(outcome.clone());
-                        outcome
-                    }
-                    None => self.resolve_outcome(request),
-                };
-                self.response_from_outcome(request, outcome)
+            RequestKind::Isolation(_) | RequestKind::Marks(_) | RequestKind::Comparison(_) => {
+                return None
             }
-        };
-        self.finish_request(request.kind.name(), started, &response);
-        response
+        })
     }
 
-    /// Resolves one `artifact-get`: a store export behind the artifact
-    /// single-flight table, so concurrent gets for the same `(stage, hash)`
-    /// encode once and share the payload. Emits an
+    /// Exports one artifact for an `artifact-get`, emitting an
     /// `artifact-get-hit`/`artifact-get-miss` trace event either way.
-    fn artifact_get(
-        &self,
-        request: &TuningRequest,
-        stage: &str,
-        hash: ContentHash,
-    ) -> Option<Arc<Vec<u8>>> {
-        if !self.coalesce {
-            return self.export_payload(stage, hash);
-        }
-        match self.artifact_flights.join(request.spec_hash()) {
-            Entry::Follower(waiter) => match waiter.wait() {
-                Some(payload) => payload,
-                // The leader abandoned; export for ourselves.
-                None => self.export_payload(stage, hash),
-            },
-            Entry::Leader(completion) => {
-                let payload = self.export_payload(stage, hash);
-                completion.fulfill(payload.clone());
-                payload
-            }
-        }
-    }
-
     fn export_payload(&self, stage: &str, hash: ContentHash) -> Option<Arc<Vec<u8>>> {
         let payload = self.store.export_artifact(stage, hash).map(Arc::new);
         match &payload {
@@ -546,22 +561,45 @@ impl TuningService {
         payload
     }
 
-    /// Counts a served response and records its latency; every front end
-    /// calls this exactly once per request, whatever path executed it.
-    pub(crate) fn finish_request(&self, kind: &str, started: Instant, response: &TuningResponse) {
-        let mut counters = self.counters.lock();
-        counters.requests += 1;
-        match response {
-            TuningResponse::Error { .. } => counters.errors += 1,
-            TuningResponse::Report { .. } => counters.reports += 1,
-            TuningResponse::Stats { .. }
-            | TuningResponse::Trace { .. }
-            | TuningResponse::ArtifactGet { .. }
-            | TuningResponse::ArtifactPut { .. }
-            | TuningResponse::ArtifactList { .. } => {}
+    /// The pipeline's execute step: resolves a study job under a panic
+    /// guard, publishes the outcome to the job's flight, and counts the
+    /// response. It runs on the calling thread for a direct request and on
+    /// an executor worker for a TCP one; either way a panicking study costs
+    /// the client one structured `internal` error, not the thread.
+    pub(crate) fn execute(&self, job: Job) -> TuningResponse {
+        let outcome = {
+            let _span = phase_trace::span("execute");
+            catch_unwind(AssertUnwindSafe(|| self.resolve_outcome(&job.request))).unwrap_or_else(
+                |panic| {
+                    Err(ServeError::internal(format!(
+                        "request execution panicked: {}",
+                        panic_message(&*panic)
+                    )))
+                },
+            )
+        };
+        if let Some(completion) = job.completion {
+            completion.fulfill(outcome.clone());
         }
-        drop(counters);
-        self.metrics.record_latency(
+        let response = {
+            let _span = phase_trace::span("respond");
+            self.response_from_outcome(&job.request, outcome)
+        };
+        self.finish_request(job.request.kind.name(), job.started, &response);
+        response
+    }
+
+    /// Counts a served response and records its latency; the pipeline calls
+    /// this exactly once per request, whatever path answered it.
+    pub(crate) fn finish_request(&self, kind: &str, started: Instant, response: &TuningResponse) {
+        let metrics = &self.metrics;
+        metrics.requests.fetch_add(1, Ordering::Relaxed);
+        match response {
+            TuningResponse::Error { .. } => metrics.errors.fetch_add(1, Ordering::Relaxed),
+            TuningResponse::Report { .. } => metrics.reports.fetch_add(1, Ordering::Relaxed),
+            _ => 0,
+        };
+        metrics.record_latency(
             kind,
             started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
         );
@@ -582,31 +620,14 @@ impl TuningService {
 
     /// Counts a request that failed before resolution (parse errors).
     pub(crate) fn note_parse_error(&self) {
-        let mut counters = self.counters.lock();
-        counters.requests += 1;
-        counters.errors += 1;
-    }
-
-    /// Parses and handles one request line (what the NDJSON front end calls
-    /// per line). Parse failures become structured error responses.
-    pub fn respond(&self, line: &str) -> TuningResponse {
-        let parsed = {
-            let _span = phase_trace::span("parse");
-            crate::request::parse_request(line)
-        };
-        match parsed {
-            Ok(request) => self.handle(&request),
-            Err(error_response) => {
-                self.note_parse_error();
-                *error_response
-            }
-        }
+        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        self.metrics.errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Resolves a study request to its report (or structured error). This is
-    /// the expensive path; callers wrap it in a flight so identical
+    /// the expensive path; the pipeline wraps it in a flight so identical
     /// concurrent requests run it once.
-    pub(crate) fn resolve_outcome(&self, request: &TuningRequest) -> FlightOutcome {
+    fn resolve_outcome(&self, request: &TuningRequest) -> FlightOutcome {
         let spec = request
             .kind
             .spec()
@@ -617,7 +638,7 @@ impl TuningService {
 
     /// Builds the response for one request from a (possibly shared) outcome:
     /// the report is cloned per request so each response echoes its own id.
-    pub(crate) fn response_from_outcome(
+    fn response_from_outcome(
         &self,
         request: &TuningRequest,
         outcome: FlightOutcome,
@@ -743,9 +764,6 @@ impl TuningService {
 
     /// The service counters plus a consistent store snapshot.
     pub fn stats(&self) -> ServiceStats {
-        let counters = self.counters.lock();
-        let (requests, reports, errors) = (counters.requests, counters.reports, counters.errors);
-        drop(counters);
         let metrics = &self.metrics;
         let admission = KIND_NAMES
             .iter()
@@ -774,9 +792,9 @@ impl TuningService {
             })
             .collect();
         ServiceStats {
-            requests,
-            reports,
-            errors,
+            requests: metrics.requests.load(Ordering::Relaxed),
+            reports: metrics.reports.load(Ordering::Relaxed),
+            errors: metrics.errors.load(Ordering::Relaxed),
             warm_loaded: self.warm_loaded,
             budget_bytes: self.store.budget_bytes(),
             serving: ServingStats {
@@ -803,5 +821,73 @@ impl TuningService {
     /// [`ServiceConfig::warm_start`] pointing there answers warm.
     pub fn spill_to_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
         self.store.spill_to_dir(dir)
+    }
+}
+
+/// The panic payload's message, when it carries one (`panic!("...")` and
+/// `assert!` produce `&str` or `String` payloads; anything else is opaque).
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    let text = panic.downcast_ref::<&str>().copied();
+    text.or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MARKS: &str =
+        "{\"id\": \"m\", \"kind\": \"marks\", \"catalog\": {\"scale\": 0.04, \"seed\": 7}}";
+
+    #[test]
+    fn a_panicking_study_on_the_direct_path_answers_internal() {
+        let service = TuningService::new(ServiceConfig::with_threads(1)).expect("cold start");
+        // A `stats` job is never supposed to reach resolution, so the
+        // resolver's invariant check panics inside the execute step.
+        let response = service.execute(Job {
+            request: TuningRequest::new("boom", RequestKind::Stats),
+            completion: None,
+            started: Instant::now(),
+        });
+        let TuningResponse::Error { id, error } = response else {
+            panic!("expected a structured error, got {response:?}");
+        };
+        assert_eq!(id.as_deref(), Some("boom"));
+        assert_eq!(error.code, "internal");
+        assert!(
+            error.message.contains("panicked")
+                && error
+                    .message
+                    .contains("stats requests never reach resolution"),
+            "the error names the panic: {}",
+            error.message
+        );
+        // The same service keeps answering.
+        assert!(matches!(
+            service.respond(MARKS),
+            TuningResponse::Report { .. }
+        ));
+        assert_eq!(service.stats().errors, 1);
+    }
+
+    #[test]
+    fn trace_requests_check_expect_hash() {
+        let service = TuningService::new(ServiceConfig::with_threads(1)).expect("cold start");
+        let trace = "{\"id\": \"t\", \"kind\": \"trace\", \"target\": \"x\"";
+        let hash = parse_request(&format!("{trace}}}"))
+            .expect("a trace request parses")
+            .spec_hash();
+        let right = service.respond(&format!("{trace}, \"expect_hash\": \"{hash}\"}}"));
+        assert!(
+            matches!(&right, TuningResponse::Trace { target, .. } if target == "x"),
+            "the right hash gets the trace answer: {right:?}"
+        );
+        let wrong = service.respond(&format!(
+            "{trace}, \"expect_hash\": \"00000000000000000000000000000000\"}}"
+        ));
+        let TuningResponse::Error { error, .. } = wrong else {
+            panic!("expected a structured error, got {wrong:?}");
+        };
+        assert_eq!(error.code, "hash-mismatch");
     }
 }

@@ -1,35 +1,40 @@
 //! The newline-delimited-JSON front end: one request per line in, one
 //! response per line out, over any reader/writer pair or a TCP listener.
 //!
-//! The TCP front end is a fixed-size pool, not thread-per-connection: an
-//! acceptor thread hands connections to `connection_workers` serving
-//! threads, and study execution is forwarded to a separate bounded
-//! [`Executor`](crate::pool) pool so one slow study occupies an executor
-//! slot, not a connection slot — stats requests, parse errors, and coalesced
-//! followers keep flowing. Admission is bounded on every axis: the request
-//! queue sheds with a structured `overloaded` error when
-//! [`WireConfig::queue_depth`] is exceeded, the pending-connection queue
-//! sheds (with a best-effort error line) when `pending_connections` is
-//! exceeded, and request lines longer than `max_line_bytes` close the
-//! connection with a structured error instead of buffering without bound.
+//! Both loops run every line through the service's one request pipeline
+//! ([`TuningService::respond`]); they differ only in the execute step. The
+//! in-memory loop executes studies on the calling thread. The TCP front end
+//! is a fixed-size pool, not thread-per-connection: an acceptor thread hands
+//! connections to `connection_workers` serving threads, and study execution
+//! is forwarded to a separate bounded [`Executor`](crate::pool) pool so one
+//! slow study occupies an executor slot, not a connection slot — stats
+//! requests, parse errors, and coalesced followers keep flowing. Admission
+//! is bounded on every axis: the request queue sheds with a structured
+//! `overloaded` error when [`WireConfig::queue_depth`] is exceeded, more
+//! than 128 accepted connections waiting for a worker shed (with a
+//! best-effort error line), and request lines longer than
+//! [`DEFAULT_MAX_LINE_BYTES`] close the connection with a structured error
+//! instead of buffering without bound.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use phase_core::json::JsonValue;
 
-use crate::inflight::Entry;
-use crate::pool::{Executor, Job};
-use crate::request::{parse_request, RequestKind, ServeError, TuningResponse};
+use crate::pool::{Executor, WorkQueue};
+use crate::request::{ServeError, TuningResponse};
 use crate::service::TuningService;
-use crate::sync;
 
-/// Default cap on one request line; a client streaming an endless line gets
-/// a structured error and a closed connection, never an OOM.
+/// Cap on one request line; a client streaming an endless line gets a
+/// structured error and a closed connection, never an OOM.
 pub const DEFAULT_MAX_LINE_BYTES: usize = 4 * 1024 * 1024;
+
+/// Accepted connections that may wait for a connection worker; beyond this,
+/// new connections are shed with a best-effort error line.
+const PENDING_CONNECTIONS: usize = 128;
 
 /// How the TCP front end is shaped: pool sizes, admission bounds, and the
 /// optional periodic metrics line.
@@ -37,16 +42,11 @@ pub const DEFAULT_MAX_LINE_BYTES: usize = 4 * 1024 * 1024;
 pub struct WireConfig {
     /// Connection-serving worker threads (clamped to at least 1).
     pub connection_workers: usize,
-    /// Accepted connections waiting for a connection worker; when full, new
-    /// connections are shed with a best-effort error line.
-    pub pending_connections: usize,
     /// Study-executor worker threads (clamped to at least 1).
     pub executor_workers: usize,
     /// Bound on queued (admitted, not yet executing) study requests; when
     /// full, requests answer a structured `overloaded` error immediately.
     pub queue_depth: usize,
-    /// Cap on one request line in bytes.
-    pub max_line_bytes: usize,
     /// Emit a `service-metrics` NDJSON line to stderr this often; `None`
     /// disables the emitter.
     pub metrics_every: Option<Duration>,
@@ -56,10 +56,8 @@ impl Default for WireConfig {
     fn default() -> Self {
         Self {
             connection_workers: 4,
-            pending_connections: 128,
             executor_workers: 2,
             queue_depth: 64,
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             metrics_every: None,
         }
     }
@@ -95,42 +93,25 @@ impl WireSummary {
 /// including lines that are not valid UTF-8 — produce structured error
 /// responses and the loop keeps serving; a line longer than
 /// [`DEFAULT_MAX_LINE_BYTES`] produces a structured error and closes the
-/// loop (see [`serve_lines_capped`] to configure the cap). Returns when the
-/// reader reaches end of input (only a real I/O error is `Err`).
+/// loop. Returns when the reader reaches end of input (only a real I/O
+/// error is `Err`).
 pub fn serve_lines<R: BufRead, W: Write>(
     service: &TuningService,
     reader: R,
     writer: &mut W,
 ) -> io::Result<WireSummary> {
-    serve_connection(service, reader, writer, None, DEFAULT_MAX_LINE_BYTES)
+    serve_connection(service, reader, writer, None)
 }
 
-/// [`serve_lines`] with an explicit line-length cap in bytes.
-pub fn serve_lines_capped<R: BufRead, W: Write>(
-    service: &TuningService,
-    reader: R,
-    writer: &mut W,
-    max_line_bytes: usize,
-) -> io::Result<WireSummary> {
-    serve_connection(service, reader, writer, None, max_line_bytes.max(1))
-}
-
-fn write_response<W: Write>(writer: &mut W, response: &TuningResponse) -> io::Result<()> {
-    writer.write_all(response.to_json().render_compact().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
-
-/// The shared serving loop: reads capped lines, answers cheap requests
-/// inline, and (when an executor is present) forwards study execution to
-/// the bounded pool with single-flight coalescing joined *before*
-/// admission.
+/// The shared serving loop: reads capped lines and runs each through the
+/// request pipeline, whose execute step is the bounded pool when an
+/// executor is present (single-flight coalescing is joined *before*
+/// admission) and the calling thread otherwise.
 fn serve_connection<R: BufRead, W: Write>(
     service: &TuningService,
     mut reader: R,
     writer: &mut W,
     executor: Option<&Executor>,
-    max_line_bytes: usize,
 ) -> io::Result<WireSummary> {
     let mut summary = WireSummary::default();
     let mut buffer = Vec::new();
@@ -139,11 +120,12 @@ fn serve_connection<R: BufRead, W: Write>(
         // Raw bytes, not `lines()`: a non-UTF-8 byte must become a
         // structured error response, never kill the serving loop. The
         // `take` bounds how much of an endless line is ever buffered.
-        let mut limited = reader.by_ref().take(max_line_bytes as u64 + 1);
+        let mut limited = reader.by_ref().take(DEFAULT_MAX_LINE_BYTES as u64 + 1);
         if limited.read_until(b'\n', &mut buffer)? == 0 {
             return Ok(summary);
         }
-        if buffer.len() > max_line_bytes && buffer.last() != Some(&b'\n') {
+        let overlong = buffer.len() > DEFAULT_MAX_LINE_BYTES && buffer.last() != Some(&b'\n');
+        let (response, trace) = if overlong {
             // Over-long line: answer a structured error and close the
             // connection — the rest of the line cannot be resynchronized.
             service
@@ -151,39 +133,29 @@ fn serve_connection<R: BufRead, W: Write>(
                 .overlong_lines
                 .fetch_add(1, Ordering::Relaxed);
             service.note_parse_error();
-            let response = TuningResponse::Error {
-                id: None,
-                error: ServeError {
-                    code: "line-too-long",
-                    message: format!(
-                        "request line exceeds the {max_line_bytes}-byte cap; closing the \
-                         connection"
-                    ),
-                },
+            let error = ServeError {
+                code: "line-too-long",
+                message: format!(
+                    "request line exceeds the {DEFAULT_MAX_LINE_BYTES}-byte cap; closing the \
+                     connection"
+                ),
             };
-            summary.responses += 1;
-            summary.errors += 1;
-            summary.overlong += 1;
-            write_response(writer, &response)?;
-            return Ok(summary);
-        }
-        let (response, trace) = match std::str::from_utf8(&buffer) {
-            Ok(text) => {
-                let line = text.trim_end_matches(['\n', '\r']);
-                if line.trim().is_empty() {
-                    continue;
+            (TuningResponse::Error { id: None, error }, None)
+        } else {
+            match std::str::from_utf8(&buffer) {
+                Ok(text) => {
+                    let line = text.trim_end_matches(['\n', '\r']);
+                    if line.trim().is_empty() {
+                        continue;
+                    }
+                    let trace = RequestTrace::begin();
+                    (service.respond_on(line, executor), trace)
                 }
-                let trace = RequestTrace::begin();
-                let response = match executor {
-                    None => service.respond(line),
-                    Some(executor) => respond_pooled(service, executor, line),
-                };
-                (response, trace)
+                Err(_) => (
+                    service.respond_malformed("request line is not valid UTF-8"),
+                    None,
+                ),
             }
-            Err(_) => (
-                service.respond_malformed("request line is not valid UTF-8"),
-                None,
-            ),
         };
         // Serialization happens under the request's trace context (when one
         // is active) so the root span covers it, then the finished timeline
@@ -203,6 +175,10 @@ fn serve_connection<R: BufRead, W: Write>(
         writer.write_all(payload.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
+        if overlong {
+            summary.overlong += 1;
+            return Ok(summary);
+        }
     }
 }
 
@@ -249,126 +225,6 @@ impl RequestTrace {
     }
 }
 
-/// Resolves one request line through the pooled path: parse errors and
-/// stats answer inline; coalesced followers wait on the leader's flight
-/// without consuming a queue slot; everything else is submitted to the
-/// bounded executor (and shed with `overloaded` when its queue is full).
-fn respond_pooled(service: &TuningService, executor: &Executor, line: &str) -> TuningResponse {
-    let started = Instant::now();
-    let parsed = {
-        let _span = phase_trace::span("parse");
-        parse_request(line)
-    };
-    let request = match parsed {
-        Ok(request) => request,
-        Err(error_response) => {
-            service.note_parse_error();
-            return *error_response;
-        }
-    };
-    if matches!(
-        request.kind,
-        RequestKind::Stats
-            | RequestKind::Trace { .. }
-            | RequestKind::ArtifactGet { .. }
-            | RequestKind::ArtifactPut { .. }
-            | RequestKind::ArtifactList
-    ) {
-        // Inline kinds never queue for the executor pool: stats/trace are
-        // metadata, and artifact requests are store I/O (the get side has
-        // its own single-flight inside handle()).
-        return service.handle(&request);
-    }
-    let trace = || phase_trace::current_trace_id().map(|tid| (tid, phase_trace::wall_now_ns()));
-    match service.join_flight(&request) {
-        Some(Entry::Follower(waiter)) => {
-            let outcome = {
-                let _span = phase_trace::span("coalesced_wait");
-                waiter.wait()
-            };
-            if let Some(outcome) = outcome {
-                let response = service.response_from_outcome(&request, outcome);
-                service.finish_request(request.kind.name(), started, &response);
-                return response;
-            }
-            // The leader was shed or died; execute for ourselves.
-            submit(
-                service,
-                executor,
-                Job {
-                    request,
-                    completion: None,
-                    reply: mpsc::channel().0,
-                    started,
-                    trace: trace(),
-                },
-            )
-        }
-        Some(Entry::Leader(completion)) => submit(
-            service,
-            executor,
-            Job {
-                request,
-                completion: Some(completion),
-                reply: mpsc::channel().0,
-                started,
-                trace: trace(),
-            },
-        ),
-        None => submit(
-            service,
-            executor,
-            Job {
-                request,
-                completion: None,
-                reply: mpsc::channel().0,
-                started,
-                trace: trace(),
-            },
-        ),
-    }
-}
-
-/// Submits a job (re-wiring its reply channel) and blocks for the executor's
-/// response; a full queue answers `overloaded` instead of blocking.
-fn submit(service: &TuningService, executor: &Executor, mut job: Job) -> TuningResponse {
-    let (reply, receive) = mpsc::channel();
-    job.reply = reply;
-    let started = job.started;
-    match executor.submit(job) {
-        Ok(()) => receive.recv().unwrap_or_else(|_| {
-            // The executor worker died mid-study (it cannot complete the
-            // reply). Answer a structured error; the loop keeps serving.
-            let response = TuningResponse::Error {
-                id: None,
-                error: ServeError {
-                    code: "internal",
-                    message: "the execution worker disappeared mid-request".to_string(),
-                },
-            };
-            service.finish_request("internal", started, &response);
-            response
-        }),
-        Err(job) => {
-            // Shed: dropping the job abandons its flight (followers fall
-            // back), and the client learns immediately instead of queueing.
-            let response = TuningResponse::Error {
-                id: Some(job.request.id.clone()),
-                error: ServeError {
-                    code: "overloaded",
-                    message: format!(
-                        "the request queue is full ({} pending); retry later",
-                        service.metrics().queue_depth.load(Ordering::Relaxed)
-                    ),
-                },
-            };
-            drop(job);
-            service.finish_request("overloaded", started, &response);
-            response
-        }
-    }
-}
-
 /// A best-effort structured error line for a connection the server cannot
 /// serve (shed at accept, or its stream could not be split for reading).
 fn connection_error_line(code: &'static str, message: &str) -> String {
@@ -395,16 +251,6 @@ pub fn emit_metrics_line<W: Write>(service: &TuningService, writer: &mut W) -> i
     writer.write_all(line.as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()
-}
-
-struct ConnQueue {
-    state: Mutex<ConnQueueState>,
-    available: Condvar,
-}
-
-struct ConnQueueState {
-    pending: std::collections::VecDeque<TcpStream>,
-    done: bool,
 }
 
 /// Serves NDJSON requests over TCP with the default [`WireConfig`]. With
@@ -439,48 +285,25 @@ pub fn serve_tcp_with(
         config.executor_workers,
         config.queue_depth,
     ));
-    let connections = Arc::new(ConnQueue {
-        state: Mutex::new(ConnQueueState {
-            pending: std::collections::VecDeque::new(),
-            done: false,
-        }),
-        available: Condvar::new(),
-    });
-    let summary = Arc::new(Mutex::new(WireSummary::default()));
-
+    let connections = Arc::new(WorkQueue::new(PENDING_CONNECTIONS));
     let workers: Vec<_> = (0..config.connection_workers.max(1))
         .map(|_| {
             let service = Arc::clone(service);
             let executor = Arc::clone(&executor);
             let connections = Arc::clone(&connections);
-            let summary = Arc::clone(&summary);
-            let max_line_bytes = config.max_line_bytes.max(1);
-            std::thread::spawn(move || {
-                connection_worker_loop(&service, &executor, &connections, &summary, max_line_bytes)
-            })
+            std::thread::spawn(move || connection_worker_loop(&service, &executor, &connections))
         })
         .collect();
 
-    // The periodic metrics emitter: a stop flag + condvar so it exits
-    // promptly when serving ends instead of sleeping out its interval.
-    let emitter_stop = Arc::new((Mutex::new(false), Condvar::new()));
+    // The periodic metrics emitter: it waits on a channel whose sender is
+    // dropped when serving ends, so it exits at once instead of sleeping
+    // out its interval.
+    let (stop_emitter, stopped) = mpsc::channel::<()>();
     let emitter = config.metrics_every.map(|every| {
         let service = Arc::clone(service);
-        let stop = Arc::clone(&emitter_stop);
         std::thread::spawn(move || {
-            let (flag, wake) = &*stop;
-            let mut stopped = sync::lock(flag);
-            loop {
-                let (guard, timeout) = wake
-                    .wait_timeout(stopped, every)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                stopped = guard;
-                if *stopped {
-                    return;
-                }
-                if timeout.timed_out() {
-                    let _ = emit_metrics_line(&service, &mut io::stderr().lock());
-                }
+            while stopped.recv_timeout(every) == Err(mpsc::RecvTimeoutError::Timeout) {
+                let _ = emit_metrics_line(&service, &mut io::stderr().lock());
             }
         })
     });
@@ -503,13 +326,10 @@ pub fn serve_tcp_with(
         // One-line request/response traffic: Nagle + delayed ACK would add
         // ~40ms to every exchange, swamping real service latency.
         let _ = stream.set_nodelay(true);
-        let mut state = sync::lock(&connections.state);
-        if state.pending.len() >= config.pending_connections.max(1) {
-            drop(state);
+        if let Err(mut stream) = connections.push(stream, |_| {}) {
             // Shed at accept: the client learns immediately instead of
             // waiting behind a queue the pool cannot drain.
             metrics.connections_shed.fetch_add(1, Ordering::Relaxed);
-            let mut stream = stream;
             let _ = stream.write_all(
                 connection_error_line(
                     "overloaded",
@@ -517,10 +337,6 @@ pub fn serve_tcp_with(
                 )
                 .as_bytes(),
             );
-        } else {
-            state.pending.push_back(stream);
-            drop(state);
-            connections.available.notify_one();
         }
         if max_connections.is_some_and(|max| accepted >= max) {
             break;
@@ -529,56 +345,39 @@ pub fn serve_tcp_with(
 
     // Drain: no more connections will arrive; workers exit once the pending
     // queue is empty, then the executor pool drains and joins on drop.
-    let mut state = sync::lock(&connections.state);
-    state.done = true;
-    drop(state);
-    connections.available.notify_all();
+    connections.close();
+    let mut summary = WireSummary::default();
     for worker in workers {
-        let _ = worker.join();
+        summary.absorb(worker.join().unwrap_or_default());
     }
+    drop(stop_emitter);
     if let Some(handle) = emitter {
-        let (flag, wake) = &*emitter_stop;
-        *sync::lock(flag) = true;
-        wake.notify_all();
         let _ = handle.join();
     }
-    let summary = *sync::lock(&summary);
     Ok(summary)
 }
 
+/// One connection worker: serves queued connections one at a time until
+/// the queue closes, and returns what it served.
 fn connection_worker_loop(
     service: &Arc<TuningService>,
     executor: &Executor,
-    connections: &ConnQueue,
-    summary: &Mutex<WireSummary>,
-    max_line_bytes: usize,
-) {
+    connections: &WorkQueue<TcpStream>,
+) -> WireSummary {
     let metrics = service.metrics();
-    loop {
-        let stream = {
-            let mut state = sync::lock(&connections.state);
-            loop {
-                if let Some(stream) = state.pending.pop_front() {
-                    break stream;
-                }
-                if state.done {
-                    return;
-                }
-                state = sync::wait(&connections.available, state);
-            }
-        };
+    let mut summary = WireSummary::default();
+    while let Some(stream) = connections.pop(|_| {}) {
         metrics.connections_active.fetch_add(1, Ordering::Relaxed);
-        let connection_summary = serve_one_connection(service, executor, stream, max_line_bytes);
-        sync::lock(summary).absorb(connection_summary);
+        summary.absorb(serve_one_connection(service, executor, stream));
         metrics.connections_active.fetch_sub(1, Ordering::Relaxed);
     }
+    summary
 }
 
 fn serve_one_connection(
     service: &Arc<TuningService>,
     executor: &Executor,
     stream: TcpStream,
-    max_line_bytes: usize,
 ) -> WireSummary {
     let read_half = match stream.try_clone() {
         Ok(read_half) => read_half,
@@ -609,7 +408,6 @@ fn serve_one_connection(
         BufReader::new(read_half),
         &mut writer,
         Some(executor),
-        max_line_bytes,
     )
     .unwrap_or_default()
 }

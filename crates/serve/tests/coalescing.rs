@@ -6,7 +6,9 @@
 //! * the bounded executor queue sheds with a structured `overloaded` error
 //!   exactly when its depth is exceeded — and not when it is not;
 //! * over-long request lines answer a structured error and close the
-//!   connection instead of buffering without bound.
+//!   connection instead of buffering without bound;
+//! * the periodic metrics emitter stops when serving ends, instead of
+//!   sleeping out its interval.
 //!
 //! The tests are made deterministic by gauges, not sleeps: stats requests
 //! bypass the executor, so a client can watch `active_jobs` / `queue.depth`
@@ -15,11 +17,13 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use phase_core::json::{parse, JsonValue};
-use phase_serve::{serve_lines_capped, serve_tcp_with, ServiceConfig, TuningService, WireConfig};
+use phase_serve::{
+    serve_lines, serve_tcp_with, ServiceConfig, TuningService, WireConfig, DEFAULT_MAX_LINE_BYTES,
+};
 
 /// Slow enough (~170ms cold) to hold the executor while the clients of a
 /// test line up behind it; an isolation request so it never shares a
@@ -320,12 +324,15 @@ fn a_deeper_queue_admits_the_same_sequence_without_shedding() {
 #[test]
 fn overlong_lines_answer_a_structured_error_and_close_the_connection() {
     let service = TuningService::new(ServiceConfig::with_threads(1)).expect("cold start");
-    let long_line = format!("{{\"id\": \"{}\"}}\n", "x".repeat(512));
+    // One byte over the cap, not counting the newline.
+    let padding = DEFAULT_MAX_LINE_BYTES + 1 - "{\"id\": \"\"}".len();
+    let long_line = format!("{{\"id\": \"{}\"}}\n", "x".repeat(padding));
+    assert_eq!(long_line.len(), DEFAULT_MAX_LINE_BYTES + 2);
     let mut input = long_line.into_bytes();
     input.extend_from_slice(b"{\"id\": \"after\", \"kind\": \"stats\"}\n");
     let mut out = Vec::new();
-    let summary = serve_lines_capped(&service, BufReader::new(&input[..]), &mut out, 64)
-        .expect("serving survives");
+    let summary =
+        serve_lines(&service, BufReader::new(&input[..]), &mut out).expect("serving survives");
     assert_eq!(
         summary.responses, 1,
         "the connection closed after the error"
@@ -346,9 +353,35 @@ fn overlong_lines_answer_a_structured_error_and_close_the_connection() {
     // A line that fits the cap (including its newline) is served normally.
     let mut out = Vec::new();
     let ok_line = b"{\"id\": \"ok\", \"kind\": \"stats\"}\n";
-    let summary = serve_lines_capped(&service, BufReader::new(&ok_line[..]), &mut out, 64)
-        .expect("serving survives");
+    let summary =
+        serve_lines(&service, BufReader::new(&ok_line[..]), &mut out).expect("serving survives");
     assert_eq!(summary.responses, 1);
     assert_eq!(summary.errors, 0);
     assert_eq!(summary.overlong, 0);
+}
+
+#[test]
+fn the_metrics_emitter_stops_when_serving_ends() {
+    let service = Arc::new(
+        TuningService::new(ServiceConfig::with_threads(1)).expect("cold start cannot fail"),
+    );
+    let config = WireConfig {
+        metrics_every: Some(Duration::from_secs(60)),
+        ..WireConfig::default()
+    };
+    let (addr, server) = spawn_server(&service, 1, config);
+    let mut client = Client::connect(addr);
+    let stats = client.request("{\"id\": \"s\", \"kind\": \"stats\"}");
+    assert!(stats.contains("\"status\": \"ok\""), "{stats}");
+    // Join on a helper thread so an emitter that never stops fails the
+    // test instead of hanging it.
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || done.send(server.join()));
+    client.close();
+    let summary = finished
+        .recv_timeout(Duration::from_secs(5))
+        .expect("serve_tcp_with returns within seconds of its last connection closing")
+        .expect("server thread")
+        .expect("serving succeeded");
+    assert_eq!(summary.responses, 1);
 }
