@@ -1,8 +1,9 @@
 //! Engine/driver baseline and continuous perf gate: wall-clock sims/sec of
 //! the round-based and event-driven engines (on the Figure 4 workload, on a
-//! bursty-arrival workload, and on the Figure 4 workload's basic-block-marked
-//! binaries under the phase tuner) and of the experiment driver at 1 and 4
-//! workers (on the Table 1 isolation plan). A thin spec over the shared
+//! bursty-arrival workload, on the online study's drifting cells, and on the
+//! Figure 4 workload's basic-block-marked binaries under the phase tuner) and
+//! of the experiment driver at 1 and 4 workers (on the Table 1 isolation
+//! plan). A thin spec over the shared
 //! study runner — the measurement itself is `StudyMode::EnginePerf` and the
 //! report is the unified `StudyReport` schema written to `BENCH_engine.json`.
 //!
@@ -21,8 +22,8 @@ const BASELINE_TOLERANCE: f64 = 0.20;
 fn main() {
     let settings = init(
         "Engine + driver baseline (BENCH_engine.json)",
-        "Round-based vs. event-driven engine sims/sec on the fig4 and bursty workloads\n\
-         and on fig4's BB[15,0]-marked binaries under the tuner (fig4-marked),\n\
+        "Round-based vs. event-driven engine sims/sec on the fig4, bursty and drifting\n\
+         workloads and on fig4's BB[15,0]-marked binaries under the tuner (fig4-marked),\n\
          and driver scaling at --threads=1 vs. 4 on the table1 isolation plan.",
     );
     if settings.trace_out.is_some() {

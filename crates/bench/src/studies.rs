@@ -163,14 +163,18 @@ fn no_headline(_: &StudyReport) -> Result<Headline, String> {
 // --- Engine perf gate: BENCH_engine.json. ---
 
 /// The engine/driver wall-clock study behind `bench_engine` and the CI
-/// sims/sec perf gate: both engines on the fig4 and bursty workloads and on
-/// the fig4 workload's `BB[15,0]`-marked binaries under the tuner
-/// (`fig4-marked/*`, the phase-mark path), then the driver on the Table 1
-/// isolation plan at 1 and 4 workers.
+/// sims/sec perf gate: both engines on the fig4 and bursty workloads, on the
+/// online study's drifting cells (`drifting/*`, where the event engine
+/// replays most blocks from its loop-body table) and on the fig4 workload's
+/// `BB[15,0]`-marked binaries under the tuner (`fig4-marked/*`, the
+/// phase-mark path), then the driver on the Table 1 isolation plan at 1 and
+/// 4 workers.
 ///
 /// Under `--perf` every knob is pinned (scale 0.5, 84 slots, catalogue seed
 /// 7, workload seeds 84/21, 5 samples) regardless of `--quick`/`--slots`, so
 /// sims/sec is comparable run-to-run and against the committed baseline.
+/// The drifting rows always run the online study's drifting cells (scale
+/// 1.0, 8 slots × 5 jobs, seed 31) up to the mode's horizon.
 pub fn engine(settings: &BenchSettings) -> StudySpec {
     let pinned;
     let settings = if settings.perf {
@@ -187,16 +191,17 @@ pub fn engine(settings: &BenchSettings) -> StudySpec {
     let scale = if quick { 0.1 } else { 0.5 };
     let slots = settings.slots_or(if quick { 18 } else { 84 });
     let sim = experiment_config_with(settings, MarkingConfig::paper_best()).sim;
+    let standard = CatalogSpec::standard(scale, 7);
     StudySpec {
         name: "engine".into(),
         title: "Engine + driver baseline (BENCH_engine.json)".into(),
         mode: StudyMode::EnginePerf {
-            catalog: CatalogSpec::standard(scale, 7),
             isolation_catalog: CatalogSpec::standard(catalog_scale(quick), 7),
             machine: MachineSpec::core2_quad_amp(),
             workloads: vec![
                 PerfWorkload {
                     name: "fig4".into(),
+                    catalog: standard,
                     workload: WorkloadSpec::Random {
                         slots,
                         jobs_per_slot: 1,
@@ -207,6 +212,7 @@ pub fn engine(settings: &BenchSettings) -> StudySpec {
                 // Long idle gaps between waves: the event engine's best case.
                 PerfWorkload {
                     name: "bursty".into(),
+                    catalog: standard,
                     workload: WorkloadSpec::Bursty {
                         slots: slots.min(12),
                         jobs_per_slot: 1,
@@ -215,6 +221,19 @@ pub fn engine(settings: &BenchSettings) -> StudySpec {
                         seed: 21,
                     },
                     horizon_ns: None,
+                },
+                // The online study's drifting cells under the stock
+                // scheduler: full-length phases whose inner loops the event
+                // engine replays.
+                PerfWorkload {
+                    name: "drifting".into(),
+                    catalog: CatalogSpec::drifting(1.0, 7),
+                    workload: WorkloadSpec::Drifting {
+                        slots: 8,
+                        jobs_per_slot: 5,
+                        seed: 31,
+                    },
+                    horizon_ns: sim.horizon_ns,
                 },
             ],
             pipeline: phase_core::PipelineConfig::with_marking(MarkingConfig::paper_best()),

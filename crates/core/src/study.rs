@@ -22,7 +22,7 @@ use phase_ir::Program;
 use phase_marking::{InstrumentedProgram, MarkingConfig};
 use phase_metrics::SummaryStats;
 use phase_runtime::{PhaseTuner, TunerConfig};
-use phase_sched::{EngineKind, IntervalHook, JobSpec, NullHook, PhaseHook, SimConfig};
+use phase_sched::{EngineKind, IntervalHook, JobSpec, NullHook, PhaseHook, SimConfig, SimResult};
 use phase_workload::{CatalogSpec, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
@@ -167,6 +167,10 @@ pub struct ComparisonPoint {
 pub struct PerfWorkload {
     /// Name; rows are labelled `<name>/round` and `<name>/event`.
     pub name: String,
+    /// The catalogue the workload queues over (its uninstrumented twins).
+    /// The first workload's also feeds the marked rows and the `layer/*`
+    /// rows.
+    pub catalog: CatalogSpec,
     /// The workload queued over the catalogue.
     pub workload: WorkloadSpec,
     /// Horizon for this workload (`None` runs every queue to completion).
@@ -297,24 +301,22 @@ pub enum StudyMode {
     /// For every workload × engine pair: one row with `wall_s` (best of
     /// `samples`), `sims_per_sec` (full simulations per second, `1 / wall_s`),
     /// `instructions`, `marks_executed` and `minstr_per_s`; event rows add
-    /// `speedup_vs_round` and assert identical committed work and marks
-    /// against the round engine. The first workload then runs again on
+    /// `speedup_vs_round` and assert that the whole [`SimResult`] equals the
+    /// round engine's. The first workload then runs again on
     /// `BB[15,0]`-marked binaries under a [`PhaseTuner`] built from `tuner`
     /// (rows `<name>-marked/round` and `<name>-marked/event`), so the phase
     /// mark path is timed too; the other engine rows run unmarked binaries
     /// with no hook and execute no marks. For every driver thread count:
     /// one `table1/threads=N` row with `wall_s`, `cells`, `sims_per_sec`
     /// (cells per second) and `parallel_speedup` versus the first listed
-    /// count. Then seven `layer/<stage>` rows, each
-    /// timing one pass of a static-pipeline stage over every program in
-    /// `catalog` (`cfg+dominators+loops`, `interval-partition`, `call-graph`,
+    /// count. Then seven `layer/<stage>` rows, each timing one pass of a
+    /// static-pipeline stage over every program in the first workload's
+    /// catalogue (`cfg+dominators+loops`, `interval-partition`, `call-graph`,
     /// `block-typing-kmeans`, and `prepare/<marking>` for one basic-block,
     /// one interval and one loop marking) with `wall_s` and `sims_per_sec`
     /// (passes per second). Perf cells deliberately bypass the artifact
     /// store — a cache hit would time the cache, not the engine.
     EnginePerf {
-        /// Catalogue the engine workloads queue over (uninstrumented twins).
-        catalog: CatalogSpec,
         /// Catalogue behind the driver-scaling isolation plan.
         isolation_catalog: CatalogSpec,
         /// Machine to simulate.
@@ -464,7 +466,6 @@ pub fn run_study(spec: &StudySpec, store: &ArtifactStore, threads: usize) -> Stu
             store, threads, families, machines, policies, pipeline, sim, *base_seed,
         ),
         StudyMode::EnginePerf {
-            catalog,
             isolation_catalog,
             machine,
             workloads,
@@ -475,7 +476,6 @@ pub fn run_study(spec: &StudySpec, store: &ArtifactStore, threads: usize) -> Stu
             samples,
         } => engine_perf(
             store,
-            catalog,
             isolation_catalog,
             machine,
             workloads,
@@ -975,13 +975,13 @@ fn best_of<S, R>(
 
 /// Times both engines on each workload (and on the first workload's
 /// basic-block-marked binaries under the tuner), the driver on the isolation
-/// plan, and each static-pipeline layer over the engine catalogue. Setup
-/// (slot and machine clones, plan construction) stays outside every timed
-/// region: the rows measure simulation and analysis throughput, nothing else.
+/// plan, and each static-pipeline layer over the first workload's catalogue.
+/// Setup (slot and machine clones, plan construction) stays outside every
+/// timed region: the rows measure simulation and analysis throughput, nothing
+/// else.
 #[allow(clippy::too_many_arguments)]
 fn engine_perf(
     store: &ArtifactStore,
-    catalog_spec: &CatalogSpec,
     isolation_catalog: &CatalogSpec,
     machine: &MachineSpec,
     workloads: &[PerfWorkload],
@@ -991,15 +991,14 @@ fn engine_perf(
     sim: &SimConfig,
     samples: usize,
 ) -> Vec<StudyRow> {
-    let catalog = store.catalog(catalog_spec);
-    let plain: Vec<Arc<InstrumentedProgram>> = catalog
-        .benchmarks()
-        .iter()
-        .map(|b| store.baseline(b.program()))
-        .collect();
-
     let mut rows = Vec::new();
     for perf in workloads {
+        let catalog = store.catalog(&perf.catalog);
+        let plain: Vec<Arc<InstrumentedProgram>> = catalog
+            .benchmarks()
+            .iter()
+            .map(|b| store.baseline(b.program()))
+            .collect();
         let workload = perf.workload.build(&catalog);
         let slots = build_slots(&workload, &catalog, &plain);
         let config = SimConfig {
@@ -1019,6 +1018,7 @@ fn engine_perf(
     // The mark path: the first workload again, on basic-block-marked
     // binaries under the tuner, so executed marks carry the host cost.
     if let Some(perf) = workloads.first() {
+        let catalog = store.catalog(&perf.catalog);
         let marked_pipeline = PipelineConfig {
             marking: MarkingConfig::basic_block(15, 0),
             ..*pipeline
@@ -1083,25 +1083,28 @@ fn engine_perf(
         }
     }
 
-    for (name, pass) in layer_passes(machine, pipeline) {
-        let (best, ()) = best_of(
-            samples,
-            || (),
-            |()| catalog.benchmarks().iter().for_each(|b| pass(b.program())),
-        );
-        rows.push(
-            StudyRow::new(format!("layer/{name}"))
-                .metric("wall_s", MetricValue::Float(best))
-                .metric("sims_per_sec", MetricValue::Float(1.0 / best)),
-        );
+    if let Some(perf) = workloads.first() {
+        let catalog = store.catalog(&perf.catalog);
+        for (name, pass) in layer_passes(machine, pipeline) {
+            let (best, ()) = best_of(
+                samples,
+                || (),
+                |()| catalog.benchmarks().iter().for_each(|b| pass(b.program())),
+            );
+            rows.push(
+                StudyRow::new(format!("layer/{name}"))
+                    .metric("wall_s", MetricValue::Float(best))
+                    .metric("sims_per_sec", MetricValue::Float(1.0 / best)),
+            );
+        }
     }
     rows
 }
 
 /// Times both engines on the same slots, each run under a fresh `hook()`,
 /// and pushes a `<name>/round` and a `<name>/event` row. The event row adds
-/// `speedup_vs_round` and asserts that both engines committed identical
-/// instructions and executed identical marks.
+/// `speedup_vs_round` and asserts that the event engine's whole
+/// [`SimResult`] equals the round engine's.
 fn engine_rows<H: PhaseHook + IntervalHook>(
     rows: &mut Vec<StudyRow>,
     name: &str,
@@ -1111,7 +1114,7 @@ fn engine_rows<H: PhaseHook + IntervalHook>(
     config: SimConfig,
     samples: usize,
 ) {
-    let mut round = None::<(f64, u64, u64)>;
+    let mut round = None::<(f64, SimResult)>;
     for engine in [EngineKind::RoundBased, EngineKind::EventDriven] {
         let config = SimConfig { engine, ..config };
         let (best, result) = best_of(
@@ -1136,16 +1139,12 @@ fn engine_rows<H: PhaseHook + IntervalHook>(
                 "minstr_per_s",
                 MetricValue::Float(result.total_instructions as f64 / best / 1e6),
             );
-        match round {
-            None => round = Some((best, result.total_instructions, result.total_marks_executed)),
-            Some((round_s, round_instructions, round_marks)) => {
-                assert_eq!(
-                    round_instructions, result.total_instructions,
-                    "engines must commit identical work on '{name}'"
-                );
-                assert_eq!(
-                    round_marks, result.total_marks_executed,
-                    "engines must execute identical marks on '{name}'"
+        match &round {
+            None => round = Some((best, result)),
+            Some((round_s, round_result)) => {
+                assert!(
+                    *round_result == result,
+                    "engines must produce identical results on '{name}'"
                 );
                 row = row.metric("speedup_vs_round", MetricValue::Float(round_s / best));
             }
@@ -1284,11 +1283,11 @@ mod tests {
             name: "engine".into(),
             title: "engine perf".into(),
             mode: StudyMode::EnginePerf {
-                catalog: tiny_catalog(),
                 isolation_catalog: tiny_catalog(),
                 machine: MachineSpec::core2_quad_amp(),
                 workloads: vec![PerfWorkload {
                     name: "fig4".into(),
+                    catalog: tiny_catalog(),
                     workload: WorkloadSpec::Random {
                         slots: 4,
                         jobs_per_slot: 1,

@@ -13,6 +13,10 @@
 //! to the same `[0, 1]` range the reference clamps per call), and
 //! calls/returns drive the same call stack — which is what keeps the event
 //! engine bit-for-bit equivalent to the round-based reference.
+//!
+//! [`DenseProgram`] also tables the loop bodies the event engine may replay
+//! ([`DenseProgram::loop_body`]): a counted latch whose taken edge comes back
+//! to it through at most [`MAX_BODY_JUMPS`] `Jump` blocks.
 
 use phase_ir::{BlockId, Location, Program, Terminator};
 
@@ -48,6 +52,12 @@ pub(crate) enum DenseCtrl {
     Exit,
 }
 
+/// The most `Jump` blocks a replayable loop body holds besides its latch.
+pub(crate) const MAX_BODY_JUMPS: usize = 16;
+
+/// The most blocks a replayable loop body holds, its latch included.
+pub(crate) const MAX_LOOP_BODY: usize = MAX_BODY_JUMPS + 1;
+
 /// A program's control flow flattened over its dense block numbering.
 #[derive(Debug)]
 pub(crate) struct DenseProgram {
@@ -58,6 +68,11 @@ pub(crate) struct DenseProgram {
     /// fills).
     locations: Vec<Location>,
     ctrl: Vec<DenseCtrl>,
+    /// The loop body of block `b`, if it is a replayable latch, is
+    /// `bodies[body_start[b]..body_start[b + 1]]`; other blocks have an
+    /// empty range.
+    body_start: Vec<u32>,
+    bodies: Vec<u32>,
 }
 
 impl DenseProgram {
@@ -107,10 +122,13 @@ impl DenseProgram {
                 Terminator::Exit => DenseCtrl::Exit,
             };
         }
+        let (body_start, bodies) = loop_bodies(&ctrl);
         Self {
             block_base,
             locations,
             ctrl,
+            body_start,
+            bodies,
         }
     }
 
@@ -137,4 +155,49 @@ impl DenseProgram {
     pub(crate) fn ctrl(&self, dense: u32) -> DenseCtrl {
         self.ctrl[dense as usize]
     }
+
+    /// The loop body of the counted latch `latch` in execution order, from
+    /// its taken target to the latch itself (the last entry); empty unless
+    /// every other body block is a `Jump`, at most [`MAX_BODY_JUMPS`] of
+    /// them.
+    #[inline]
+    pub(crate) fn loop_body(&self, latch: u32) -> &[u32] {
+        let start = self.body_start[latch as usize] as usize;
+        let end = self.body_start[latch as usize + 1] as usize;
+        &self.bodies[start..end]
+    }
+}
+
+/// Builds the loop-body table over compiled terminators: for each counted
+/// latch, follows `Jump`s from its taken target and keeps the walk if it
+/// returns to the latch within [`MAX_BODY_JUMPS`] of them.
+fn loop_bodies(ctrl: &[DenseCtrl]) -> (Vec<u32>, Vec<u32>) {
+    let mut body_start = Vec::with_capacity(ctrl.len() + 1);
+    let mut bodies = Vec::new();
+    body_start.push(0);
+    for (latch, block) in ctrl.iter().enumerate() {
+        if let DenseCtrl::Counted { taken, .. } = *block {
+            let latch = latch as u32;
+            let start = bodies.len();
+            let mut at = taken;
+            loop {
+                if at == latch {
+                    bodies.push(latch);
+                    break;
+                }
+                match ctrl[at as usize] {
+                    DenseCtrl::Jump { next } if bodies.len() - start < MAX_BODY_JUMPS => {
+                        bodies.push(at);
+                        at = next;
+                    }
+                    _ => {
+                        bodies.truncate(start);
+                        break;
+                    }
+                }
+            }
+        }
+        body_start.push(bodies.len() as u32);
+    }
+    (body_start, bodies)
 }

@@ -15,13 +15,18 @@
 //!   rounds and which cores to touch, so fully idle stretches (bursty
 //!   arrival gaps, drained queues) cost nothing. Its quantum path
 //!   (`run_core_quantum_fast`) steps pre-compiled dense control flow and a
-//!   flat per-block [`HotSlab`] arena with hoisted borrows, and resolves
-//!   marked edges in the slab's dense edge table instead of hashing them.
+//!   flat per-block [`HotSlab`] arena with every per-block accumulator held
+//!   in locals, resolves marked edges in the slab's dense edge table instead
+//!   of hashing them, and replays counted loops whose body is tabled in the
+//!   [`DenseProgram`], cost-filled and unmarked from a local copy of the
+//!   body's costs (`run_blocks_fast`).
 //!
 //! Both drivers mutate the *same* `EngineCore` state with the same arithmetic
 //! in the same order, which is what makes the event-driven engine bit-for-bit
 //! equivalent to the reference loop (see `tests/engine_equivalence.rs` at the
-//! workspace root).
+//! workspace root). The loop replay keeps that rule: it charges the same
+//! blocks one by one, never k iterations at once, so every floating-point
+//! accumulator sees the same additions in the same order.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -32,14 +37,14 @@ use phase_marking::{MARK_DECISION_INSTRUCTIONS, MARK_MONITOR_INSTRUCTIONS};
 
 use crate::hooks::{IntervalHook, IntervalObservation, MarkContext, PhaseHook, SectionObservation};
 use crate::interp::Interpreter;
-use crate::process::{HotCounters, Pid, ProcessState, ProcessTable};
+use crate::process::{BlockTally, HotCounters, Pid, ProcessState, ProcessTable};
 use crate::sim::{JobSpec, ProcessRecord, SimConfig, SimResult};
 
 pub(crate) mod dense;
 pub(crate) mod event;
 pub(crate) mod round;
 
-use dense::DenseProgram;
+use dense::{DenseCtrl, DenseProgram, MAX_LOOP_BODY};
 
 pub use event::{BucketQueue, Event, EventKind};
 
@@ -148,6 +153,19 @@ impl HotSlab {
 
     fn dense(&self, loc: Location) -> usize {
         self.block_base[loc.proc.index()] + loc.block.index()
+    }
+
+    /// The loop body of the counted latch `latch`, if the event engine may
+    /// replay it in this context: the latch has a tabled body, every body
+    /// block's cost is filled, and no body block carries a mark.
+    #[inline]
+    fn replayable_body<'a>(&self, dp: &'a DenseProgram, latch: u32) -> Option<&'a [u32]> {
+        let body = dp.loop_body(latch);
+        let ready = !body.is_empty()
+            && body.iter().all(|&block| {
+                self.records[block as usize].flags & (COST_FILLED | HAS_MARK) == COST_FILLED
+            });
+        ready.then_some(body)
     }
 
     /// The index in `InstrumentedProgram::marks` of the mark on the dense
@@ -1096,11 +1114,23 @@ enum BlockRun {
     MarkedEdge { next: u32 },
 }
 
-/// The event engine's inner block loop: all hot state is borrowed once and
-/// held across iterations, and control flow steps through the pre-compiled
-/// dense table. Bit-identical to the reference loop in `run_core_quantum` —
-/// same per-accumulator addition order, same RNG draws, same lazily memoised
-/// costs.
+/// The event engine's inner block loop.
+///
+/// Every per-block accumulator lives in a local [`RunLocals`] for the whole
+/// call: the process's counters as a [`BlockTally`], `elapsed`,
+/// `committed` and the block count, next to the dense cursor. They are
+/// written back once, when the call returns. Jumps and counted branches are
+/// stepped inline; calls, returns, probabilistic branches and exit go
+/// through [`Interpreter::step_dense`].
+///
+/// When a counted latch branches back and every block of its loop body
+/// ([`DenseProgram::loop_body`]) is cost-filled and unmarked, the rest of
+/// the loop runs in [`replay_loop`] from a local copy of the body's records.
+///
+/// Bit-identical to the reference loop in `run_core_quantum`: each
+/// accumulator sees the same additions in the same order, with the same RNG
+/// draws and the same lazily memoised costs, and the budget is tested before
+/// every block.
 #[allow(clippy::too_many_arguments)]
 fn run_blocks_fast(
     slab: &mut HotSlab,
@@ -1118,43 +1148,137 @@ fn run_blocks_fast(
     cur: &mut u32,
     committed: &mut u64,
 ) -> BlockRun {
-    while *elapsed < budget {
-        let rec = &mut slab.records[*cur as usize];
-        if rec.flags & COST_FILLED == 0 {
-            let block = program
-                .block(dp.location(*cur))
-                .expect("dense index maps to an existing block");
-            let c = cost.block_cost(core, block, sharing);
-            rec.instructions = c.instructions;
-            rec.cycles = c.cycles;
-            rec.nanos = c.nanos;
-            rec.flags |= COST_FILLED;
-        }
-        let (instructions, cycles, nanos, mem, flags) = (
-            rec.instructions,
-            rec.cycles,
-            rec.nanos,
-            rec.mem_accesses,
-            rec.flags,
-        );
-        hot.charge_block(instructions, cycles, nanos, kind_index);
-        if sampling && mem > 0 {
-            hot.interval_mem_accesses += u64::from(mem);
-        }
-        *committed += instructions;
-        *elapsed += nanos;
+    let mut run = RunLocals {
+        tally: hot.tally(kind_index),
+        elapsed: *elapsed,
+        committed: *committed,
+        blocks: 0,
+        sampling,
+    };
+    let mut at = *cur;
+    let outcome = 'run: {
+        while run.elapsed < budget {
+            let rec = &mut slab.records[at as usize];
+            if rec.flags & COST_FILLED == 0 {
+                let block = program
+                    .block(dp.location(at))
+                    .expect("dense index maps to an existing block");
+                let c = cost.block_cost(core, block, sharing);
+                rec.instructions = c.instructions;
+                rec.cycles = c.cycles;
+                rec.nanos = c.nanos;
+                rec.flags |= COST_FILLED;
+            }
+            let rec = *rec;
+            run.charge(&rec);
 
-        match interp.step_dense(dp, *cur) {
-            None => return BlockRun::Finished,
-            Some(next) => {
-                if flags & HAS_MARK != 0 {
-                    return BlockRun::MarkedEdge { next };
+            let next = match dp.ctrl(at) {
+                DenseCtrl::Jump { next } => next,
+                DenseCtrl::Counted {
+                    taken,
+                    fallthrough,
+                    trip,
+                } => {
+                    if !interp.take_counted(at, trip) {
+                        fallthrough
+                    } else if let Some(body) = slab.replayable_body(dp, at) {
+                        let counter = interp.loop_counter_mut(at);
+                        match replay_loop(body, &slab.records, counter, trip, budget, &mut run) {
+                            None => fallthrough,
+                            Some(resume) => {
+                                at = resume;
+                                break 'run BlockRun::Budget;
+                            }
+                        }
+                    } else {
+                        taken
+                    }
                 }
-                *cur = next;
+                ctrl => match interp.step_dense(dp, at, ctrl) {
+                    Some(next) => next,
+                    None => break 'run BlockRun::Finished,
+                },
+            };
+            if rec.flags & HAS_MARK != 0 {
+                break 'run BlockRun::MarkedEdge { next };
+            }
+            at = next;
+        }
+        BlockRun::Budget
+    };
+    hot.store_tally(&run.tally, kind_index);
+    interp.add_blocks_executed(run.blocks);
+    *elapsed = run.elapsed;
+    *cur = at;
+    *committed = run.committed;
+    outcome
+}
+
+/// The accumulators of one [`run_blocks_fast`] call, held in locals.
+struct RunLocals {
+    tally: BlockTally,
+    elapsed: f64,
+    committed: u64,
+    blocks: u64,
+    /// Whether interval sampling counts memory accesses.
+    sampling: bool,
+}
+
+impl RunLocals {
+    /// Charges one executed block, stepped or replayed.
+    #[inline(always)]
+    fn charge(&mut self, rec: &BlockRecord) {
+        self.tally.charge(rec.instructions, rec.cycles, rec.nanos);
+        if self.sampling {
+            self.tally.note_mem_accesses(u64::from(rec.mem_accesses));
+        }
+        self.committed += rec.instructions;
+        self.elapsed += rec.nanos;
+        self.blocks += 1;
+    }
+}
+
+/// Runs the rest of a counted loop whose latch has just branched back, from
+/// a local copy of its body's records.
+///
+/// `body` is the latch's [`DenseProgram::loop_body`] (its last block is the
+/// latch) and `counter` the latch's trip counter. Each pass charges the body
+/// block by block, testing the budget before every block, then steps the
+/// latch. Returns `None` once the latch falls through (its counter reset),
+/// or `Some(block)` when the budget stops the run before `block`, with the
+/// counter left where the block loop would have left it.
+#[inline(always)]
+fn replay_loop(
+    body: &[u32],
+    records: &[BlockRecord],
+    counter: &mut u32,
+    trip: u32,
+    budget: f64,
+    run: &mut RunLocals,
+) -> Option<u32> {
+    let mut copies = [BlockRecord::default(); MAX_LOOP_BODY];
+    for (copy, &block) in copies.iter_mut().zip(body) {
+        *copy = records[block as usize];
+    }
+    let copies = &copies[..body.len()];
+    let mut trips = *counter;
+    let stop = 'passes: loop {
+        for (rec, &block) in copies.iter().zip(body) {
+            if run.elapsed < budget {
+                run.charge(rec);
+            } else {
+                break 'passes Some(block);
             }
         }
-    }
-    BlockRun::Budget
+        if trips < trip {
+            trips += 1;
+        } else {
+            trips = 0;
+            break None;
+        }
+    };
+    *counter = trips;
+    stop
 }
 
 #[cfg(test)]

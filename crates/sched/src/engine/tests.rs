@@ -1,8 +1,14 @@
-//! Unit tests of the engine's private slab tables.
+//! Unit tests of the engine's private slab and loop-body tables, and of the
+//! event engine's loop replay against the round engine.
 
 use super::*;
+use crate::hooks::NullHook;
+use crate::sim::{EngineKind, JobSpec, Simulation};
 use phase_analysis::PhaseType;
-use phase_ir::{BlockId, Instruction, ProcId, ProgramBuilder, Terminator};
+use phase_ir::{
+    AccessPattern, BlockId, BranchBehavior, Instruction, MemRef, ProcId, Program, ProgramBuilder,
+    Terminator,
+};
 use phase_marking::{InstrumentedProgram, MarkId, MarkingConfig, PhaseMark};
 
 #[test]
@@ -89,4 +95,290 @@ fn slab_edge_table_resolves_every_edge_like_the_edge_map() {
     assert_eq!(resolved, 4, "four distinct valid edges carry marks");
     let winner = slab.edge_mark(0, 1).unwrap();
     assert_eq!(instrumented.marks()[winner].phase_type, PhaseType(2));
+}
+
+/// `program` with no phase marks.
+fn unmarked(program: &Arc<Program>) -> Arc<InstrumentedProgram> {
+    let config = MarkingConfig::basic_block(15, 0);
+    Arc::new(InstrumentedProgram::from_parts(
+        Arc::clone(program),
+        config,
+        Vec::new(),
+        None,
+    ))
+}
+
+/// Marks every slab record cost-filled, as after the blocks first ran.
+fn fill_costs(slab: &mut HotSlab) {
+    for rec in &mut slab.records {
+        rec.flags |= COST_FILLED;
+    }
+}
+
+#[test]
+fn loop_body_table_lists_the_innermost_jump_body_and_a_self_loop() {
+    // A two-deep nest shaped like a generated phase (the inner body comes
+    // back through two jumps), then a self-loop. Dense indices equal block
+    // ids in a one-procedure program.
+    let mut builder = ProgramBuilder::new("nest");
+    let main = builder.declare_procedure("main");
+    let mut body = builder.procedure_builder();
+    let b: Vec<BlockId> = (0..8).map(|_| body.add_block()).collect();
+    for &block in &b {
+        body.push(block, Instruction::int_alu());
+    }
+    body.terminate(b[0], Terminator::Jump(b[1]));
+    body.terminate(b[1], Terminator::Jump(b[2]));
+    body.terminate(b[2], Terminator::Jump(b[3]));
+    body.terminate(b[3], Terminator::Jump(b[4]));
+    body.loop_branch(b[4], b[2], b[5], 3);
+    body.loop_branch(b[5], b[1], b[6], 2);
+    body.loop_branch(b[6], b[6], b[7], 4);
+    body.terminate(b[7], Terminator::Exit);
+    builder.define_procedure(main, body).unwrap();
+    let dp = DenseProgram::new(&builder.build().unwrap());
+
+    let bodies: Vec<(u32, Vec<u32>)> = (0..8)
+        .map(|latch| (latch, dp.loop_body(latch).to_vec()))
+        .filter(|(_, body)| !body.is_empty())
+        .collect();
+    // The outer latch's body runs through the inner latch, a counted
+    // branch, so only the inner body and the self-loop are tabled.
+    assert_eq!(bodies, vec![(4, vec![2, 3, 4]), (6, vec![6])]);
+}
+
+#[test]
+fn no_loop_body_holds_a_mark_a_call_a_probabilistic_branch_or_17_jumps() {
+    let mut builder = ProgramBuilder::new("guards");
+    let main = builder.declare_procedure("main");
+    let helper = builder.declare_procedure("helper");
+    let mut body = builder.procedure_builder();
+    let b: Vec<BlockId> = (0..11).map(|_| body.add_block()).collect();
+    // 0 -> 1 calls helper and returns to 2, which loops back to 1.
+    body.terminate(b[0], Terminator::Jump(b[1]));
+    body.terminate(
+        b[1],
+        Terminator::Call {
+            callee: helper,
+            return_to: b[2],
+        },
+    );
+    body.loop_branch(b[2], b[1], b[3], 2);
+    // 3 branches at random to 4, which loops back to 3.
+    body.terminate(
+        b[3],
+        Terminator::Branch {
+            taken: b[4],
+            fallthrough: b[4],
+            behavior: BranchBehavior::probabilistic(0.5),
+        },
+    );
+    body.loop_branch(b[4], b[3], b[5], 2);
+    // Two jump loops, 5 -> 6 and 7 -> 8; the first will carry a mark.
+    body.terminate(b[5], Terminator::Jump(b[6]));
+    body.loop_branch(b[6], b[5], b[7], 3);
+    body.terminate(b[7], Terminator::Jump(b[8]));
+    body.loop_branch(b[8], b[7], b[9], 3);
+    // Loops through 16 and through 17 jump blocks (the table is static, so
+    // the second needs no way in).
+    let chain = |body: &mut phase_ir::ProcedureBuilder, jumps: usize, exit: BlockId| {
+        let blocks: Vec<BlockId> = (0..=jumps).map(|_| body.add_block()).collect();
+        for pair in blocks.windows(2) {
+            body.terminate(pair[0], Terminator::Jump(pair[1]));
+        }
+        body.loop_branch(blocks[jumps], blocks[0], exit, 2);
+        blocks
+    };
+    let sixteen = chain(&mut body, 16, b[10]);
+    let seventeen = chain(&mut body, 17, b[10]);
+    body.terminate(b[9], Terminator::Jump(sixteen[0]));
+    body.terminate(b[10], Terminator::Exit);
+    builder.define_procedure(main, body).unwrap();
+    let mut body = builder.procedure_builder();
+    let h = body.add_block();
+    body.terminate(h, Terminator::Return);
+    builder.define_procedure(helper, body).unwrap();
+    let program = Arc::new(builder.build().unwrap());
+    let dp = DenseProgram::new(&program);
+
+    let tabled: Vec<u32> = (0..program.iter_blocks().count() as u32)
+        .filter(|&latch| !dp.loop_body(latch).is_empty())
+        .collect();
+    let sixteen_latch = sixteen[16].index() as u32;
+    assert_eq!(
+        tabled,
+        vec![6, 8, sixteen_latch],
+        "no call, branch or 17-jump body"
+    );
+    assert_eq!(dp.loop_body(sixteen_latch).len(), MAX_LOOP_BODY);
+    assert!(dp.loop_body(seventeen[17].index() as u32).is_empty());
+
+    // A mark on 5 -> 6 keeps that body from replay; the unmarked twin
+    // replays once its costs are filled.
+    let at = |block: BlockId| Location::new(main, block);
+    let marks = vec![PhaseMark {
+        id: MarkId(0),
+        from: at(b[5]),
+        to: at(b[6]),
+        phase_type: PhaseType(0),
+        previous_type: None,
+        size_bytes: 78,
+    }];
+    let instrumented =
+        InstrumentedProgram::from_parts(program, MarkingConfig::basic_block(15, 0), marks, None);
+    let mut slab = HotSlab::new(&instrumented);
+    assert_eq!(slab.replayable_body(&dp, 8), None, "costs not filled yet");
+    fill_costs(&mut slab);
+    assert_eq!(
+        slab.replayable_body(&dp, 6),
+        None,
+        "body holds a marked block"
+    );
+    assert_eq!(slab.replayable_body(&dp, 8), Some(&[7, 8][..]));
+    for latch in [2, 4] {
+        assert_eq!(slab.replayable_body(&dp, latch), None);
+    }
+}
+
+/// `entry`, then a loop `b0 -> b1 -> latch` whose latch branches back to `b0`
+/// `trips` times, then `exit`. Dense indices equal block ids (entry 0, b0 1,
+/// b1 2, latch 3, exit 4). `b0` loads, so blocks differ in cost.
+fn jump_loop(trips: u32) -> Arc<Program> {
+    let mut builder = ProgramBuilder::new("jump-loop");
+    let main = builder.declare_procedure("main");
+    let mut body = builder.procedure_builder();
+    let b: Vec<BlockId> = (0..5).map(|_| body.add_block()).collect();
+    body.push(b[0], Instruction::int_alu());
+    body.terminate(b[0], Terminator::Jump(b[1]));
+    body.push(b[1], Instruction::fp_mul());
+    body.push(
+        b[1],
+        Instruction::load(MemRef::new(AccessPattern::Sequential, 1 << 20)),
+    );
+    body.terminate(b[1], Terminator::Jump(b[2]));
+    body.push(b[2], Instruction::fp_add());
+    body.push(b[2], Instruction::int_alu());
+    body.push(b[2], Instruction::int_alu());
+    body.terminate(b[2], Terminator::Jump(b[3]));
+    body.push(b[3], Instruction::int_alu());
+    body.loop_branch(b[3], b[1], b[4], trips);
+    body.terminate(b[4], Terminator::Exit);
+    builder.define_procedure(main, body).unwrap();
+    Arc::new(builder.build().unwrap())
+}
+
+/// The time elapsed after each of the first `count` blocks [`jump_loop`]
+/// runs alone on core 0 of `machine`, summed in execution order as the
+/// engines sum a quantum.
+fn elapsed_after_blocks(program: &Program, machine: &MachineSpec, count: usize) -> Vec<f64> {
+    let cost = CostModel::new(machine.clone());
+    let sharing = SharingContext::shared_by(1);
+    let nanos = |block: u32| {
+        let block = program
+            .block(Location::new(program.entry(), BlockId(block)))
+            .unwrap();
+        cost.block_cost(CoreId(0), block, sharing).nanos
+    };
+    let sequence = std::iter::once(0).chain([1, 2, 3].into_iter().cycle());
+    let mut elapsed = 0.0;
+    sequence
+        .take(count)
+        .map(|block| {
+            elapsed += nanos(block);
+            elapsed
+        })
+        .collect()
+}
+
+/// A one-core machine.
+fn one_core() -> MachineSpec {
+    MachineSpec::symmetric(1, 2.4)
+}
+
+/// A two-job queue of [`jump_loop`] on one core whose first dispatch gets
+/// exactly `budget`: the timeslice is the power of two in `[budget, 2 *
+/// budget)` and the first job is released `timeslice - budget` into round
+/// zero. Both subtractions are exact (Sterbenz), and a power-of-two
+/// timeslice keeps the event engine's round arithmetic exact.
+fn first_budget_of(
+    program: &Arc<Program>,
+    budget: f64,
+    engine: EngineKind,
+) -> (Vec<Vec<JobSpec>>, SimConfig) {
+    let timeslice_ns = 2f64.powi(budget.log2().ceil() as i32);
+    let release = timeslice_ns - budget;
+    assert_eq!(timeslice_ns - release, budget, "the first budget is exact");
+    let job = JobSpec::new("loop", unmarked(program));
+    let slots = vec![vec![job.clone().released_at(release), job]];
+    let config = SimConfig {
+        timeslice_ns,
+        engine,
+        ..SimConfig::default()
+    };
+    (slots, config)
+}
+
+/// Runs round zero of [`first_budget_of`] under `engine`; returns where the
+/// first process stopped: its block, its latch's trip counter and its block
+/// count.
+fn first_quantum(program: &Arc<Program>, budget: f64, engine: EngineKind) -> (u32, u32, u64) {
+    let (slots, config) = first_budget_of(program, budget, engine);
+    let mut core = EngineCore::new("first", one_core(), slots, NullHook, config);
+    match engine {
+        EngineKind::RoundBased => core.run_round(),
+        EngineKind::EventDriven => core.run_round_fast(&[true]),
+    }
+    let interp = &mut core.procs.interps[0];
+    (
+        interp.current_location().block.index() as u32,
+        *interp.loop_counter_mut(3),
+        interp.blocks_executed(),
+    )
+}
+
+/// Both engines run [`first_budget_of`] to completion; the whole results
+/// must be equal.
+fn assert_engines_agree(program: &Arc<Program>, budget: f64) {
+    let run = |engine| {
+        let (slots, config) = first_budget_of(program, budget, engine);
+        Simulation::new("replay", one_core(), slots, NullHook, config).run()
+    };
+    let round = run(EngineKind::RoundBased);
+    let event = run(EngineKind::EventDriven);
+    assert_eq!(round.completed_count(), 2);
+    assert_eq!(round, event);
+}
+
+#[test]
+fn a_budget_ending_inside_a_replayed_iteration_matches_the_round_engine() {
+    let program = jump_loop(40);
+    let elapsed = elapsed_after_blocks(&program, &one_core(), 11);
+    // Entry and three passes (the first block by block, two replayed) end
+    // at elapsed[9]; the budget then admits b0 of the fourth pass only.
+    let budget = (elapsed[9] + elapsed[10]) / 2.0;
+    assert!(elapsed[9] < budget && budget < elapsed[10]);
+    for engine in [EngineKind::RoundBased, EngineKind::EventDriven] {
+        assert_eq!(
+            first_quantum(&program, budget, engine),
+            (2, 3, 11),
+            "{engine}"
+        );
+    }
+    assert_engines_agree(&program, budget);
+}
+
+#[test]
+fn a_budget_ending_on_an_iteration_boundary_matches_the_round_engine() {
+    let program = jump_loop(40);
+    let elapsed = elapsed_after_blocks(&program, &one_core(), 10);
+    // The budget runs out exactly as the third pass's latch branches back.
+    let budget = elapsed[9];
+    for engine in [EngineKind::RoundBased, EngineKind::EventDriven] {
+        assert_eq!(
+            first_quantum(&program, budget, engine),
+            (1, 3, 10),
+            "{engine}"
+        );
+    }
+    assert_engines_agree(&program, budget);
 }

@@ -134,14 +134,7 @@ impl Interpreter {
                 let go_taken = match behavior {
                     BranchBehavior::Counted { trip_count } => {
                         let dense = self.block_base[executed.proc.index()] + executed.block.index();
-                        let counter = &mut self.loop_counters[dense];
-                        if *counter < trip_count {
-                            *counter += 1;
-                            true
-                        } else {
-                            *counter = 0;
-                            false
-                        }
+                        self.take_counted(dense as u32, trip_count)
                     }
                     BranchBehavior::Probabilistic { taken_probability } => {
                         self.rng.gen_bool(taken_probability.clamp(0.0, 1.0))
@@ -172,40 +165,59 @@ impl Interpreter {
         Some(Step { executed, next })
     }
 
-    /// Executes the block at dense index `cur` through a pre-compiled
-    /// [`DenseProgram`](crate::engine::dense::DenseProgram), returning the
-    /// next dense index (or `None` on exit, which also marks the interpreter
-    /// finished).
+    /// Steps the counted branch at dense index `dense`: whether it takes its
+    /// branch, counting the trip, or falls through and resets its counter.
+    #[inline]
+    pub(crate) fn take_counted(&mut self, dense: u32, trip: u32) -> bool {
+        let counter = &mut self.loop_counters[dense as usize];
+        if *counter < trip {
+            *counter += 1;
+            true
+        } else {
+            *counter = 0;
+            false
+        }
+    }
+
+    /// The trip counter of the counted branch at dense index `dense` (the
+    /// event engine's loop replay keeps it in a local and writes it back).
+    #[inline]
+    pub(crate) fn loop_counter_mut(&mut self, dense: u32) -> &mut u32 {
+        &mut self.loop_counters[dense as usize]
+    }
+
+    /// Adds blocks the event engine executed outside [`step`](Self::step)
+    /// to the block count.
+    #[inline]
+    pub(crate) fn add_blocks_executed(&mut self, blocks: u64) {
+        self.blocks_executed += blocks;
+    }
+
+    /// Executes `ctrl`, the compiled terminator of the block at dense index
+    /// `cur` in a [`DenseProgram`](crate::engine::dense::DenseProgram),
+    /// returning the next dense index (or `None` on exit, which also marks
+    /// the interpreter finished).
     ///
-    /// This is the event engine's fast path. It advances exactly the same
-    /// state as [`step`](Self::step) — loop counters, RNG draws, call stack,
-    /// block count — but leaves `current_location` untouched; callers own the
-    /// dense cursor and must [`sync_location`](Self::sync_location) before
-    /// anything reads the location again.
+    /// This is the event engine's fast path for calls, returns,
+    /// probabilistic branches and exit; it steps jumps and counted branches
+    /// itself. It advances the same state as [`step`](Self::step) — RNG
+    /// draws, call stack — except the block count, which the caller adds
+    /// with [`add_blocks_executed`](Self::add_blocks_executed). It leaves
+    /// `current_location` untouched; callers own the dense cursor and must
+    /// [`sync_location`](Self::sync_location) before anything reads the
+    /// location again.
     #[inline]
     pub(crate) fn step_dense(
         &mut self,
         dp: &crate::engine::dense::DenseProgram,
         cur: u32,
+        ctrl: crate::engine::dense::DenseCtrl,
     ) -> Option<u32> {
         use crate::engine::dense::DenseCtrl;
         debug_assert!(!self.finished, "stepping a finished interpreter");
-        self.blocks_executed += 1;
-        let next = match dp.ctrl(cur) {
-            DenseCtrl::Jump { next } => Some(next),
-            DenseCtrl::Counted {
-                taken,
-                fallthrough,
-                trip,
-            } => {
-                let counter = &mut self.loop_counters[cur as usize];
-                if *counter < trip {
-                    *counter += 1;
-                    Some(taken)
-                } else {
-                    *counter = 0;
-                    Some(fallthrough)
-                }
+        let next = match ctrl {
+            DenseCtrl::Jump { .. } | DenseCtrl::Counted { .. } => {
+                unreachable!("stepped inline by run_blocks_fast")
             }
             DenseCtrl::Probabilistic {
                 taken,

@@ -96,7 +96,7 @@ pub struct IntervalCounters {
 /// The counters the inner execution loop updates on every executed block,
 /// packed contiguously per process: lifetime statistics, the current phase
 /// section, and the current sampling interval.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct HotCounters {
     pub(crate) stats: ProcessStats,
     /// Instructions/cycles accumulated since the last phase mark.
@@ -113,9 +113,9 @@ impl HotCounters {
     /// Adds the cost of one executed block to the current section, the
     /// current sampling interval, and the global statistics.
     ///
-    /// The accumulation order per field is load-bearing: the engines'
-    /// bit-for-bit equivalence relies on every accumulator seeing the same
-    /// sequence of floating-point additions.
+    /// This is the round engine's in-memory charge; [`BlockTally::charge`]
+    /// is its register-held mirror for the event engine and must add the
+    /// same value to the same accumulator, one addition per block.
     #[inline]
     pub(crate) fn charge_block(
         &mut self,
@@ -137,6 +137,92 @@ impl HotCounters {
         if kind_index < self.interval_kind_cycles.len() {
             self.interval_kind_cycles[kind_index] += cycles;
         }
+    }
+
+    /// The per-block accumulators for a block run on a core of kind
+    /// `kind_index`, copied out as scalars.
+    #[inline]
+    pub(crate) fn tally(&self, kind_index: usize) -> BlockTally {
+        let kind = |slots: &[f64; 4]| slots.get(kind_index).copied().unwrap_or(0.0);
+        BlockTally {
+            instructions: self.stats.instructions,
+            cycles: self.stats.cycles,
+            cpu_time_ns: self.stats.cpu_time_ns,
+            kind_time_ns: kind(&self.stats.time_on_kind_ns),
+            section_instructions: self.section_instructions,
+            section_cycles: self.section_cycles,
+            interval_instructions: self.interval_instructions,
+            interval_cycles: self.interval_cycles,
+            interval_kind_cycles: kind(&self.interval_kind_cycles),
+            interval_mem_accesses: self.interval_mem_accesses,
+        }
+    }
+
+    /// Writes a [`tally`](Self::tally) back. A kind index past the
+    /// kind-indexed slots leaves them untouched.
+    #[inline]
+    pub(crate) fn store_tally(&mut self, tally: &BlockTally, kind_index: usize) {
+        self.stats.instructions = tally.instructions;
+        self.stats.cycles = tally.cycles;
+        self.stats.cpu_time_ns = tally.cpu_time_ns;
+        if let Some(slot) = self.stats.time_on_kind_ns.get_mut(kind_index) {
+            *slot = tally.kind_time_ns;
+        }
+        self.section_instructions = tally.section_instructions;
+        self.section_cycles = tally.section_cycles;
+        self.interval_instructions = tally.interval_instructions;
+        self.interval_cycles = tally.interval_cycles;
+        if let Some(slot) = self.interval_kind_cycles.get_mut(kind_index) {
+            *slot = tally.interval_kind_cycles;
+        }
+        self.interval_mem_accesses = tally.interval_mem_accesses;
+    }
+}
+
+/// A process's per-block accumulators as plain scalars, with the
+/// kind-indexed slots narrowed to one core kind's.
+///
+/// The event engine's block loop holds a tally in locals for a whole run of
+/// blocks; a copy of [`HotCounters`] itself, with its kind-indexed arrays,
+/// would stay in memory. [`charge`](Self::charge) mirrors
+/// [`HotCounters::charge_block`], which the round engine keeps in memory so
+/// that its loop compiles as before. The mirror is load-bearing: the
+/// engines' bit-for-bit equivalence relies on every accumulator seeing the
+/// same sequence of floating-point additions, and a unit test holds the two
+/// to identical counters.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockTally {
+    instructions: u64,
+    cycles: f64,
+    cpu_time_ns: f64,
+    kind_time_ns: f64,
+    section_instructions: u64,
+    section_cycles: f64,
+    interval_instructions: u64,
+    interval_cycles: f64,
+    interval_kind_cycles: f64,
+    interval_mem_accesses: u64,
+}
+
+impl BlockTally {
+    /// Adds the cost of one executed block.
+    #[inline(always)]
+    pub(crate) fn charge(&mut self, instructions: u64, cycles: f64, nanos: f64) {
+        self.instructions += instructions;
+        self.cycles += cycles;
+        self.cpu_time_ns += nanos;
+        self.kind_time_ns += nanos;
+        self.section_instructions += instructions;
+        self.section_cycles += cycles;
+        self.interval_instructions += instructions;
+        self.interval_cycles += cycles;
+        self.interval_kind_cycles += cycles;
+    }
+
+    /// Adds memory accesses to the current sampling interval.
+    #[inline(always)]
+    pub(crate) fn note_mem_accesses(&mut self, accesses: u64) {
+        self.interval_mem_accesses += accesses;
     }
 }
 
@@ -480,6 +566,35 @@ mod tests {
         assert!((stats.time_on_kind_ns[0] - 33.0).abs() < 1e-9);
         assert!((stats.time_on_kind_ns[1] - 16.0).abs() < 1e-9);
         assert!((stats.ipc() - 1.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_block_tally_charges_exactly_like_the_in_memory_counters() {
+        // Costs whose sums round, on an in-range and an out-of-range kind.
+        let blocks = [
+            (7, 0.1, 0.3),
+            (13, 2.7, 1.1),
+            (3, 1e-3, 0.7),
+            (11, 0.2, 0.9),
+        ];
+        for kind_index in [1, 9] {
+            let mut start = HotCounters::default();
+            start.stats.cycles = 0.3;
+            start.stats.time_on_kind_ns = [0.1, 0.2, 0.4, 0.8];
+            start.interval_kind_cycles = [0.7, 0.6, 0.5, 0.4];
+            start.interval_mem_accesses = 2;
+            let mut in_memory = start.clone();
+            let mut tally = start.tally(kind_index);
+            for &(instructions, cycles, nanos) in blocks.iter().cycle().take(64) {
+                in_memory.charge_block(instructions, cycles, nanos, kind_index);
+                in_memory.interval_mem_accesses += 5;
+                tally.charge(instructions, cycles, nanos);
+                tally.note_mem_accesses(5);
+            }
+            let mut held = start;
+            held.store_tally(&tally, kind_index);
+            assert_eq!(held, in_memory, "kind index {kind_index}");
+        }
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! Golden-equivalence tests: the event-driven engine must reproduce the
 //! round-based reference engine's results on real workloads.
 //!
-//! Six seeded workloads cover the interesting regimes — the paper's dense
+//! Seven seeded workloads cover the interesting regimes — the paper's dense
 //! Table 1 catalogue (at `Loop[45]`, and again under dense `BB[15,0]`
 //! basic-block marks, tuned and all-cores), the mixed CPU/memory scenario
 //! family (heavy phase-transition traffic), a bursty-arrival workload (the
 //! idle stretches the event engine skips), an online-policy run with
-//! interval sampling, and a larger bursty workload under online sampling
+//! interval sampling, a larger bursty workload under online sampling
 //! (batched same-timestamp arrivals interleaved with sample ticks on the
-//! bucket queue's fast path). Aggregate metrics (completion times, switch
-//! counts, fairness) must agree within 1e-9; in practice they are
-//! bit-identical because both engines drive the same scheduling primitives.
+//! bucket queue's fast path), and the online study's drifting family (most
+//! blocks run in loops the event engine replays). The whole [`SimResult`]
+//! must be equal, labels aside, every `f64` compared with `==`: both engines
+//! drive the same scheduling primitives with the same floating-point
+//! additions in the same order.
 
-use std::collections::HashMap;
-
-use phase_tuning::substrate::metrics::{FairnessReport, ProcessTiming};
 use phase_tuning::substrate::sched::{EngineKind, JobSpec, SimConfig, SimResult};
 use phase_tuning::substrate::workload::{Catalog, Workload};
 use phase_tuning::{
@@ -22,12 +21,19 @@ use phase_tuning::{
     PipelineConfig, Policy,
 };
 
-const TOLERANCE: f64 = 1e-9;
-
 fn run_engine(slots: Vec<Vec<JobSpec>>, policy: Policy, engine: EngineKind) -> SimResult {
+    run_engine_until(slots, policy, engine, 6_000_000.0)
+}
+
+fn run_engine_until(
+    slots: Vec<Vec<JobSpec>>,
+    policy: Policy,
+    engine: EngineKind,
+    horizon_ns: f64,
+) -> SimResult {
     let machine = phase_tuning::substrate::amp::MachineSpec::core2_quad_amp();
     let sim = SimConfig {
-        horizon_ns: Some(6_000_000.0),
+        horizon_ns: Some(horizon_ns),
         engine,
         ..SimConfig::default()
     };
@@ -43,94 +49,18 @@ fn run_engine(slots: Vec<Vec<JobSpec>>, policy: Policy, engine: EngineKind) -> S
     Driver::new(1).run(plan).cells.remove(0).result
 }
 
-fn assert_close(label: &str, a: f64, b: f64) {
-    assert!(
-        (a - b).abs() <= TOLERANCE,
-        "{label}: round-based {a} vs event-driven {b}"
-    );
-}
-
-fn fairness(result: &SimResult) -> FairnessReport {
-    // Stretch denominators do not matter for engine equivalence; use a
-    // constant isolated runtime per process.
-    let timings: Vec<ProcessTiming> = result
-        .completed()
-        .map(|record| ProcessTiming {
-            arrival_ns: record.arrival_ns,
-            completion_ns: record.completion_ns.expect("completed"),
-            isolated_ns: 1_000_000.0,
-        })
-        .collect();
-    FairnessReport::from_timings(&timings)
-}
-
+/// Asserts that the two engines' results are equal in every field but the
+/// run label (which names the engine), every `f64` compared with `==`.
 fn assert_equivalent(round: &SimResult, event: &SimResult) {
-    assert_eq!(round.records.len(), event.records.len(), "process count");
-    let mut completions: HashMap<&str, usize> = HashMap::new();
-    for (r, e) in round.records.iter().zip(event.records.iter()) {
-        assert_eq!(r.pid, e.pid);
-        assert_eq!(r.name, e.name);
-        assert_eq!(r.slot, e.slot);
-        assert_close(&format!("{} arrival", r.name), r.arrival_ns, e.arrival_ns);
-        assert_eq!(
-            r.completion_ns.is_some(),
-            e.completion_ns.is_some(),
-            "{} completion presence",
-            r.name
-        );
-        if let (Some(rc), Some(ec)) = (r.completion_ns, e.completion_ns) {
-            assert_close(&format!("{} completion", r.name), rc, ec);
-            *completions.entry(r.name.as_str()).or_default() += 1;
-        }
-        assert_eq!(r.stats.instructions, e.stats.instructions, "{}", r.name);
-        assert_eq!(r.stats.core_switches, e.stats.core_switches, "{}", r.name);
-        assert_eq!(r.stats.marks_executed, e.stats.marks_executed, "{}", r.name);
-        assert_eq!(
-            r.stats.balancer_migrations, e.stats.balancer_migrations,
-            "{}",
-            r.name
-        );
-        assert_close(
-            &format!("{} cpu time", r.name),
-            r.stats.cpu_time_ns,
-            e.stats.cpu_time_ns,
-        );
-    }
-    assert_eq!(round.total_instructions, event.total_instructions);
-    assert_eq!(round.total_core_switches, event.total_core_switches);
-    assert_eq!(round.total_marks_executed, event.total_marks_executed);
-    assert_close("final time", round.final_time_ns, event.final_time_ns);
-    assert_eq!(round.throughput_windows, event.throughput_windows);
-    for (index, (r, e)) in round
-        .core_busy_ns
-        .iter()
-        .zip(event.core_busy_ns.iter())
-        .enumerate()
-    {
-        assert_close(&format!("core {index} busy"), *r, *e);
-    }
-
-    let round_fairness = fairness(round);
-    let event_fairness = fairness(event);
-    assert_close(
-        "max flow",
-        round_fairness.max_flow_ns,
-        event_fairness.max_flow_ns,
-    );
-    assert_close(
-        "max stretch",
-        round_fairness.max_stretch,
-        event_fairness.max_stretch,
-    );
-    assert_close(
-        "avg process time",
-        round_fairness.avg_process_time_ns,
-        event_fairness.avg_process_time_ns,
-    );
     assert!(
-        !completions.is_empty(),
+        round.completed_count() > 0,
         "equivalence is vacuous without completed processes"
     );
+    let event = SimResult {
+        label: round.label.clone(),
+        ..event.clone()
+    };
+    assert_eq!(*round, event, "round-based vs event-driven");
 }
 
 fn machine() -> phase_tuning::substrate::amp::MachineSpec {
@@ -275,4 +205,39 @@ fn engines_agree_on_a_bursty_arrival_workload() {
     // The bursty workload genuinely exercises delayed arrivals.
     assert!(round.records.iter().any(|r| r.arrival_ns > 0.0));
     assert_equivalent(&round, &event);
+}
+
+#[test]
+fn engines_agree_on_the_online_studys_drifting_family() {
+    use phase_tuning::substrate::online::OnlineConfig;
+    // The online study's drifting cells, where most simulated blocks run in
+    // loops the event engine replays: the drifting catalogue at full scale,
+    // 8 slots of 5 jobs, under the stock scheduler and one of the study's
+    // online policies. The horizon cuts the run mid-way, so both quanta and
+    // the run itself stop inside replayed loops.
+    let catalog = Catalog::drifting(1.0, 7);
+    let workload = Workload::drifting(&catalog, 8, 5, 31);
+    let programs = baseline_catalog(&catalog);
+    let slots = build_slots(&workload, &catalog, &programs);
+    let online = Policy::Online(
+        OnlineConfig::default()
+            .with_interval_ns(100_000.0)
+            .with_max_phases(2),
+    );
+    for policy in [Policy::Stock, online] {
+        let run = |engine| run_engine_until(slots.clone(), policy, engine, 10_000_000.0);
+        let round = run(EngineKind::RoundBased);
+        let event = run(EngineKind::EventDriven);
+        assert!(
+            round.completed_count() < 40,
+            "the horizon cuts the run mid-way"
+        );
+        if policy == online {
+            assert!(
+                round.total_core_switches > 0,
+                "the online tuner never retuned"
+            );
+        }
+        assert_equivalent(&round, &event);
+    }
 }
