@@ -447,8 +447,10 @@ impl Fingerprint for WorkloadSpec {
 /// different sweep groups share one artifact.
 #[derive(Debug, Clone)]
 pub struct CachedCell {
-    /// The simulation result (its `label` is patched per lookup).
-    pub result: SimResult,
+    /// The simulation result, labelled by the cell that computed it. The
+    /// driver hands this `Arc` out as is to cells of the same label and a
+    /// relabelled copy to any other.
+    pub result: Arc<SimResult>,
     /// Tuner statistics for `Policy::Tuned` cells.
     pub tuner_stats: Option<TunerStats>,
     /// Online-tuner statistics for `Policy::Online` cells.
@@ -1458,11 +1460,39 @@ impl ArtifactStore {
         machine: &MachineSpec,
         config: &PipelineConfig,
     ) -> Arc<InstrumentedProgram> {
-        let mut hasher = StableHasher::new();
-        hasher.write_str("instrument");
+        let prefix = instrumented_key_prefix(machine, config);
+        self.instrumented_after(&prefix, program, machine, config)
+    }
+
+    /// Stage 5 for every benchmark of a catalogue, index-aligned with it.
+    /// The key prefix (machine and pipeline config) is hashed once and
+    /// cloned per program; each program is one counted lookup, exactly as
+    /// [`ArtifactStore::instrumented`] would make it.
+    pub fn instrumented_catalog(
+        &self,
+        catalog: &Catalog,
+        machine: &MachineSpec,
+        config: &PipelineConfig,
+    ) -> Vec<Arc<InstrumentedProgram>> {
+        let prefix = instrumented_key_prefix(machine, config);
+        catalog
+            .benchmarks()
+            .iter()
+            .map(|bench| self.instrumented_after(&prefix, bench.program(), machine, config))
+            .collect()
+    }
+
+    /// Stage 5 keyed by `prefix` (from [`instrumented_key_prefix`]) followed
+    /// by the program's fingerprint.
+    fn instrumented_after(
+        &self,
+        prefix: &StableHasher,
+        program: &Arc<Program>,
+        machine: &MachineSpec,
+        config: &PipelineConfig,
+    ) -> Arc<InstrumentedProgram> {
+        let mut hasher = prefix.clone();
         self.program_fingerprint(program).fingerprint(&mut hasher);
-        machine.fingerprint(&mut hasher);
-        config.fingerprint(&mut hasher);
         self.cached(&self.instrumented, hasher.finish(), || {
             let regions = self.regions(program, machine, config);
             instrument_stage(program, &regions, &config.marking)
@@ -1537,6 +1567,12 @@ impl ArtifactStore {
     /// Looks up or computes a whole simulation cell.
     pub fn cell(&self, key: ContentHash, compute: impl FnOnce() -> CachedCell) -> Arc<CachedCell> {
         self.cached(&self.cells, key, compute)
+    }
+
+    /// Whether the cell under `key` is resident: an uncounted peek that
+    /// leaves the hit/miss counters and the CLOCK reference bit alone.
+    pub(crate) fn has_cell(&self, key: ContentHash) -> bool {
+        self.cells.cache.contains(key)
     }
 
     /// A consistent snapshot of every stage's counters, in pipeline order.
@@ -1705,6 +1741,18 @@ impl ArtifactStore {
             }
         }
     }
+}
+
+/// The hasher state of an `instrumented` key before its program: the stage
+/// tag, the machine and the pipeline config. Hashing the shared part first
+/// lets a catalogue hash it once and clone it per program
+/// ([`ArtifactStore::instrumented_catalog`]).
+fn instrumented_key_prefix(machine: &MachineSpec, config: &PipelineConfig) -> StableHasher {
+    let mut hasher = StableHasher::new();
+    hasher.write_str("instrument");
+    machine.fingerprint(&mut hasher);
+    config.fingerprint(&mut hasher);
+    hasher
 }
 
 /// The fingerprint of a program's [`pack::encode_program`] bytes.

@@ -10,10 +10,15 @@
 //! `--threads=8` produce the same [`PlanOutcome`] (see
 //! `tests/driver_determinism.rs` at the workspace root).
 //!
-//! Aggregation is streaming: integer counters ([`PlanAggregate`]) are folded
-//! in as each cell finishes, in completion order, which is safe because they
-//! are order-independent; floating-point summaries ([`PlanOutcome::flow_summary`])
-//! are computed afterwards in plan order through `phase-metrics`.
+//! Through the artifact store ([`Driver::run_cached`]) a plan whose every
+//! cell is already stored is only lookups, so it is answered on the calling
+//! thread without spawning workers, as a one-worker driver or a one-cell plan
+//! always is. Results are shared, not copied: a hit hands out the stored
+//! `Arc<SimResult>`.
+//!
+//! The integer counters ([`PlanAggregate`]) and the floating-point summaries
+//! ([`PlanOutcome::flow_summary`], through `phase-metrics`) are computed over
+//! the results in plan order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -26,7 +31,7 @@ use phase_online::{OnlineConfig, OnlineStats, OnlineTuner};
 use phase_runtime::{PhaseTuner, TunerConfig, TunerStats};
 use phase_sched::{AllCoresHook, JobSpec, NullHook, SimConfig, SimResult, Simulation};
 
-use crate::artifacts::{ArtifactStore, CachedCell};
+use crate::artifacts::{ArtifactStore, CachedCell, ContentHash};
 
 /// The scheduling policy a cell runs under.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,8 +88,9 @@ pub struct CellSpec {
     pub label: String,
     /// The machine to simulate.
     pub machine: MachineSpec,
-    /// The slot job queues to run.
-    pub slots: Vec<Vec<JobSpec>>,
+    /// The slot job queues to run, shared with every other cell of the
+    /// same queues.
+    pub slots: Arc<[Vec<JobSpec>]>,
     /// The scheduling policy.
     pub policy: Policy,
     /// Simulation parameters (timeslice, horizon, seed, engine).
@@ -106,7 +112,7 @@ impl CellSpec {
             group: name.clone(),
             label: format!("isolation-{name}"),
             machine,
-            slots: vec![vec![JobSpec::new(name, instrumented)]],
+            slots: Arc::new([vec![JobSpec::new(name, instrumented)]]),
             policy,
             sim: SimConfig {
                 horizon_ns: None,
@@ -124,9 +130,9 @@ pub struct PlannedWorkload {
     /// Workload name, used in cell groups and labels.
     pub name: String,
     /// Slot queues with uninstrumented binaries.
-    pub baseline_slots: Vec<Vec<JobSpec>>,
+    pub baseline_slots: Arc<[Vec<JobSpec>]>,
     /// Slot queues with phase-marked binaries.
-    pub tuned_slots: Vec<Vec<JobSpec>>,
+    pub tuned_slots: Arc<[Vec<JobSpec>]>,
 }
 
 /// An ordered list of experiment cells.
@@ -172,15 +178,15 @@ impl ExperimentPlan {
             for machine in machines {
                 for policy in policies {
                     let slots = if policy.runs_instrumented() {
-                        workload.tuned_slots.clone()
+                        &workload.tuned_slots
                     } else {
-                        workload.baseline_slots.clone()
+                        &workload.baseline_slots
                     };
                     plan.push(CellSpec {
                         group: format!("{}/{}", workload.name, machine.name),
                         label: format!("{}/{}/{}", workload.name, machine.name, policy.name()),
                         machine: machine.clone(),
-                        slots,
+                        slots: Arc::clone(slots),
                         policy: *policy,
                         sim: SimConfig { seed, ..sim },
                     });
@@ -228,17 +234,16 @@ pub struct CellResult {
     pub label: String,
     /// The policy the cell ran under.
     pub policy: Policy,
-    /// The simulation result.
-    pub result: SimResult,
+    /// The simulation result, labelled with this cell's label; a store hit
+    /// shares the stored result when the labels already match.
+    pub result: Arc<SimResult>,
     /// What the tuner did, for `Policy::Tuned` cells.
     pub tuner_stats: Option<TunerStats>,
     /// What the online tuner did, for `Policy::Online` cells.
     pub online_stats: Option<OnlineStats>,
 }
 
-/// Order-independent counters folded in as cells finish (streaming
-/// aggregation); every field is an integer sum, so the fold order — which
-/// depends on worker scheduling — cannot change the value.
+/// Plan-wide counters; every field is an integer sum over the cells.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanAggregate {
     /// Cells executed.
@@ -264,12 +269,12 @@ impl PlanAggregate {
 }
 
 /// Everything a plan run produced: per-cell results in plan order plus the
-/// streaming aggregate.
+/// aggregate.
 #[derive(Debug, Clone)]
 pub struct PlanOutcome {
     /// Per-cell results, index-aligned with the plan.
     pub cells: Vec<CellResult>,
-    /// The streaming aggregate.
+    /// The plan-wide counters.
     pub aggregate: PlanAggregate,
 }
 
@@ -346,52 +351,86 @@ impl Driver {
     /// skip the simulation entirely, and repeated cells *within* one plan
     /// (e.g. the identical stock baselines of a threshold sweep) are run
     /// once and shared.
+    ///
+    /// Every cell's key is derived on the calling thread, inside the cell's
+    /// trace context. When every key is resident (an uncounted peek), the
+    /// plan is answered on the calling thread; otherwise it fans out as
+    /// [`Driver::run`] does. Either way each cell makes one counted lookup.
     pub fn run_cached(&self, plan: ExperimentPlan, store: &ArtifactStore) -> PlanOutcome {
         self.run_inner(plan, Some(store))
     }
 
     fn run_inner(&self, plan: ExperimentPlan, store: Option<&ArtifactStore>) -> PlanOutcome {
+        let _span = phase_trace::span("driver");
         let cells = plan.cells;
         let cell_count = cells.len();
-        let results: Vec<Mutex<Option<CellResult>>> =
-            (0..cell_count).map(|_| Mutex::new(None)).collect();
-        let aggregate = Mutex::new(PlanAggregate::default());
-        let cursor = AtomicUsize::new(0);
-        let workers = self.threads.min(cell_count.max(1));
-        // Scoped workers do not inherit the caller's thread-local trace
-        // context, so the ambient trace id is captured here and re-installed
-        // per cell with the cell's plan index as the scope — records then
-        // sort identically whatever worker ran the cell.
+        // A cell's records carry the ambient trace id in the study lane with
+        // the cell's plan index as the scope, whatever thread emits them:
+        // scoped workers do not inherit the caller's thread-local context, so
+        // it is captured here and installed per cell.
         let ambient_trace = phase_trace::current_trace_id();
+        let cell_context = |index: usize| {
+            ambient_trace.map(|trace_id| {
+                phase_trace::install(trace_id, phase_trace::Lane::Study, index as u32)
+            })
+        };
+        // Every cell's store key, derived on this thread inside its context.
+        let keys: Vec<ContentHash> = match store {
+            Some(store) => cells
+                .iter()
+                .enumerate()
+                .map(|(index, spec)| {
+                    let _ctx = cell_context(index);
+                    let _span = phase_trace::span("cell-key");
+                    store.cell_key(&spec.machine, &spec.policy, &spec.sim, &spec.slots)
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        let run = |index: usize| {
+            let _ctx = cell_context(index);
+            run_cell(
+                index,
+                &cells[index],
+                store.map(|store| (store, keys[index])),
+            )
+        };
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    while let Some((start, end)) = claim_chunk(&cursor, cell_count, workers) {
-                        for index in start..end {
-                            let _trace_ctx = ambient_trace.map(|trace_id| {
-                                phase_trace::install(
-                                    trace_id,
-                                    phase_trace::Lane::Study,
-                                    index as u32,
-                                )
-                            });
-                            let outcome = run_cell(index, &cells[index], store);
-                            aggregate.lock().absorb(&outcome.result);
-                            *results[index].lock() = Some(outcome);
+        // A plan whose every cell is resident is only lookups: answer it on
+        // this thread, as a one-worker driver or a one-cell plan always is.
+        let all_resident = store.is_some_and(|store| keys.iter().all(|&key| store.has_cell(key)));
+        let workers = if all_resident {
+            1
+        } else {
+            self.threads.min(cell_count)
+        };
+        let cells: Vec<CellResult> = if workers <= 1 {
+            (0..cell_count).map(run).collect()
+        } else {
+            let results: Vec<Mutex<Option<CellResult>>> =
+                (0..cell_count).map(|_| Mutex::new(None)).collect();
+            let cursor = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| {
+                        while let Some((start, end)) = claim_chunk(&cursor, cell_count, workers) {
+                            for (index, slot) in (start..end).zip(&results[start..end]) {
+                                *slot.lock() = Some(run(index));
+                            }
                         }
-                    }
-                });
-            }
-        });
-
-        PlanOutcome {
-            cells: results
+                    });
+                }
+            });
+            results
                 .into_iter()
                 .map(|slot| slot.into_inner().expect("every cell was executed"))
-                .collect(),
-            aggregate: aggregate.into_inner(),
+                .collect()
+        };
+        let mut aggregate = PlanAggregate::default();
+        for cell in &cells {
+            aggregate.absorb(&cell.result);
         }
+        PlanOutcome { cells, aggregate }
     }
 }
 
@@ -425,30 +464,35 @@ fn claim_chunk(cursor: &AtomicUsize, cell_count: usize, workers: usize) -> Optio
     }
 }
 
-/// Executes one cell, answering from the store when one is given.
-fn run_cell(index: usize, spec: &CellSpec, store: Option<&ArtifactStore>) -> CellResult {
-    let cached = match store {
-        Some(store) => {
-            let key = {
-                let _span = phase_trace::span("cell-key");
-                store.cell_key(&spec.machine, &spec.policy, &spec.sim, &spec.slots)
-            };
-            store.cell(key, || compute_cell(spec))
-        }
+/// Executes one cell, answering from the store under `cached`'s key when
+/// one is given.
+fn run_cell(
+    index: usize,
+    spec: &CellSpec,
+    cached: Option<(&ArtifactStore, ContentHash)>,
+) -> CellResult {
+    let cell = match cached {
+        Some((store, key)) => store.cell(key, || compute_cell(spec)),
         None => Arc::new(compute_cell(spec)),
     };
-    // The cached artifact excludes plan position; re-attach it. The result's
-    // label is patched so a cell shared across sweep groups reports its own.
-    let mut result = cached.result.clone();
-    result.label = spec.label.clone();
+    // The cached artifact excludes plan position; re-attach it. A result
+    // shared across sweep groups carries the label of the cell that computed
+    // it, so a cell of another label gets a relabelled copy.
+    let result = if cell.result.label == spec.label {
+        Arc::clone(&cell.result)
+    } else {
+        let mut result = SimResult::clone(&cell.result);
+        result.label = spec.label.clone();
+        Arc::new(result)
+    };
     CellResult {
         index,
         group: spec.group.clone(),
         label: spec.label.clone(),
         policy: spec.policy,
         result,
-        tuner_stats: cached.tuner_stats,
-        online_stats: cached.online_stats,
+        tuner_stats: cell.tuner_stats,
+        online_stats: cell.online_stats,
     }
 }
 
@@ -459,7 +503,7 @@ fn compute_cell(spec: &CellSpec) -> CachedCell {
             let sim = Simulation::new(
                 spec.label.clone(),
                 spec.machine.clone(),
-                spec.slots.clone(),
+                spec.slots.to_vec(),
                 NullHook,
                 spec.sim,
             );
@@ -470,7 +514,7 @@ fn compute_cell(spec: &CellSpec) -> CachedCell {
             let sim = Simulation::new(
                 spec.label.clone(),
                 spec.machine.clone(),
-                spec.slots.clone(),
+                spec.slots.to_vec(),
                 hook,
                 spec.sim,
             );
@@ -482,7 +526,7 @@ fn compute_cell(spec: &CellSpec) -> CachedCell {
             let sim = Simulation::new(
                 spec.label.clone(),
                 spec.machine.clone(),
-                spec.slots.clone(),
+                spec.slots.to_vec(),
                 tuner,
                 spec.sim,
             );
@@ -500,7 +544,7 @@ fn compute_cell(spec: &CellSpec) -> CachedCell {
             let sim = Simulation::new(
                 spec.label.clone(),
                 spec.machine.clone(),
-                spec.slots.clone(),
+                spec.slots.to_vec(),
                 tuner,
                 sim_config,
             );
@@ -510,7 +554,7 @@ fn compute_cell(spec: &CellSpec) -> CachedCell {
             let sim = Simulation::partitioned(
                 spec.label.clone(),
                 spec.machine.clone(),
-                spec.slots.clone(),
+                spec.slots.to_vec(),
                 NullHook,
                 spec.sim,
             );
@@ -518,7 +562,7 @@ fn compute_cell(spec: &CellSpec) -> CachedCell {
         }
     };
     CachedCell {
-        result,
+        result: Arc::new(result),
         tuner_stats,
         online_stats,
     }
@@ -539,12 +583,13 @@ mod tests {
         let pipeline = PipelineConfig::paper_best();
         PlannedWorkload {
             name: name.into(),
-            baseline_slots: build_slots(&workload, &catalog, &baseline_catalog(&catalog)),
+            baseline_slots: build_slots(&workload, &catalog, &baseline_catalog(&catalog)).into(),
             tuned_slots: build_slots(
                 &workload,
                 &catalog,
                 &instrument_catalog(&catalog, &machine, &pipeline),
-            ),
+            )
+            .into(),
         }
     }
 

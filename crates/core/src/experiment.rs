@@ -89,11 +89,12 @@ impl ExperimentConfig {
 #[derive(Debug, Clone)]
 pub struct PreparedWorkload {
     /// Slot queues for the stock-scheduler baseline (no phase marks).
-    pub baseline_slots: Vec<Vec<JobSpec>>,
+    pub baseline_slots: Arc<[Vec<JobSpec>]>,
     /// Slot queues with phase-marked binaries.
-    pub tuned_slots: Vec<Vec<JobSpec>>,
-    /// Isolated runtime (nanoseconds) per benchmark name, used for stretch.
-    pub isolated_ns: HashMap<String, f64>,
+    pub tuned_slots: Arc<[Vec<JobSpec>]>,
+    /// Isolated runtime (nanoseconds) per benchmark name, used for stretch
+    /// (the store's own artifact on the cached path).
+    pub isolated_ns: Arc<HashMap<String, f64>>,
     /// Per-benchmark instrumented programs, index-aligned with the catalogue.
     pub instrumented: Vec<Arc<InstrumentedProgram>>,
 }
@@ -255,9 +256,9 @@ pub fn prepare_workload(config: &ExperimentConfig) -> PreparedWorkload {
         config.threads,
     );
     PreparedWorkload {
-        baseline_slots: build_slots(&workload, &catalog, &baseline),
-        tuned_slots: build_slots(&workload, &catalog, &instrumented),
-        isolated_ns,
+        baseline_slots: build_slots(&workload, &catalog, &baseline).into(),
+        tuned_slots: build_slots(&workload, &catalog, &instrumented).into(),
+        isolated_ns: Arc::new(isolated_ns),
         instrumented,
     }
 }
@@ -279,11 +280,7 @@ pub fn prepare_workload_cached(
         config.jobs_per_slot,
         config.workload_seed,
     );
-    let instrumented: Vec<Arc<InstrumentedProgram>> = catalog
-        .benchmarks()
-        .iter()
-        .map(|b| store.instrumented(b.program(), &config.machine, &config.pipeline))
-        .collect();
+    let instrumented = store.instrumented_catalog(&catalog, &config.machine, &config.pipeline);
     let baseline: Vec<Arc<InstrumentedProgram>> = catalog
         .benchmarks()
         .iter()
@@ -299,9 +296,9 @@ pub fn prepare_workload_cached(
         store,
     );
     PreparedWorkload {
-        baseline_slots: build_slots(&workload, &catalog, &baseline),
-        tuned_slots: build_slots(&workload, &catalog, &instrumented),
-        isolated_ns: (*isolated_ns).clone(),
+        baseline_slots: build_slots(&workload, &catalog, &baseline).into(),
+        tuned_slots: build_slots(&workload, &catalog, &instrumented).into(),
+        isolated_ns,
         instrumented,
     }
 }
@@ -344,10 +341,11 @@ pub fn throughput_of(result: &SimResult, sim: &SimConfig) -> ThroughputSeries {
 /// The outcome of one baseline-versus-tuned comparison.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ComparisonResult {
-    /// Raw result of the stock-scheduler baseline run.
-    pub baseline: SimResult,
-    /// Raw result of the phase-tuned run.
-    pub tuned: SimResult,
+    /// Raw result of the stock-scheduler baseline run (shared with the
+    /// driver outcome it came from).
+    pub baseline: Arc<SimResult>,
+    /// Raw result of the phase-tuned run (shared likewise).
+    pub tuned: Arc<SimResult>,
     /// Throughput improvement of the tuned run over the baseline.
     pub throughput: ThroughputComparison,
     /// Fairness report of the baseline run.
@@ -394,8 +392,8 @@ pub fn run_comparison_prepared(
 pub fn planned_workload(name: impl Into<String>, prepared: &PreparedWorkload) -> PlannedWorkload {
     PlannedWorkload {
         name: name.into(),
-        baseline_slots: prepared.baseline_slots.clone(),
-        tuned_slots: prepared.tuned_slots.clone(),
+        baseline_slots: Arc::clone(&prepared.baseline_slots),
+        tuned_slots: Arc::clone(&prepared.tuned_slots),
     }
 }
 
@@ -414,7 +412,7 @@ pub fn comparison_plan(
         group: group.clone(),
         label: "stock-linux".to_string(),
         machine: config.machine.clone(),
-        slots: prepared.baseline_slots.clone(),
+        slots: Arc::clone(&prepared.baseline_slots),
         policy: Policy::Stock,
         sim: config.sim,
     });
@@ -422,7 +420,7 @@ pub fn comparison_plan(
         group,
         label: format!("phase-tuned-{}", config.pipeline.marking),
         machine: config.machine.clone(),
-        slots: prepared.tuned_slots.clone(),
+        slots: Arc::clone(&prepared.tuned_slots),
         policy: Policy::Tuned(config.tuner),
         sim: config.sim,
     });
@@ -439,8 +437,8 @@ pub fn comparison_result(
 ) -> Option<ComparisonResult> {
     let baseline_cell = outcome.find(group, "stock")?;
     let tuned_cell = outcome.find(group, "tuned")?;
-    let baseline = baseline_cell.result.clone();
-    let tuned = tuned_cell.result.clone();
+    let baseline = Arc::clone(&baseline_cell.result);
+    let tuned = Arc::clone(&tuned_cell.result);
 
     let measure_ns = config
         .sim

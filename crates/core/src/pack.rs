@@ -50,8 +50,11 @@ use crate::pipeline::{IpcProfileArtifact, IpcProfileRow};
 pub const PACK_MAGIC: [u8; 4] = *b"PPK1";
 
 /// The pack format version; bumped on any layout change so a stale spill is
-/// rejected structurally, never deserialized wrong.
-pub const PACK_VERSION: u64 = 3;
+/// rejected structurally, never deserialized wrong. Also bumped when a stage's
+/// key derivation changes (version 4: the `instrumented` key hashes the
+/// machine and pipeline config before the program), so a spill keyed the
+/// old way is rejected whole instead of loading records nothing looks up.
+pub const PACK_VERSION: u64 = 4;
 
 /// The toolchain tag stamped into every pack file: artifacts are only
 /// reusable across processes built from the same crate version, because the
@@ -1068,7 +1071,7 @@ pub fn decode_cell(bytes: &[u8]) -> Result<CachedCell, PackError> {
     };
     r.finish()?;
     Ok(CachedCell {
-        result: SimResult {
+        result: Arc::new(SimResult {
             label,
             records,
             total_instructions,
@@ -1077,7 +1080,7 @@ pub fn decode_cell(bytes: &[u8]) -> Result<CachedCell, PackError> {
             core_busy_ns,
             total_marks_executed,
             total_core_switches,
-        },
+        }),
         tuner_stats,
         online_stats,
     })

@@ -503,18 +503,30 @@ fn mark_stats_per_variant(
     machine: &MachineSpec,
     variants: &[MarkingConfig],
 ) -> Vec<StudyRow> {
-    let catalog = store.catalog(catalog);
+    let instrumented: Vec<Vec<Arc<InstrumentedProgram>>> = {
+        let _span = phase_trace::span("prepare");
+        let catalog = store.catalog(catalog);
+        variants
+            .iter()
+            .map(|marking| {
+                store.instrumented_catalog(
+                    &catalog,
+                    machine,
+                    &PipelineConfig::with_marking(*marking),
+                )
+            })
+            .collect()
+    };
+    let _span = phase_trace::span("rows");
     variants
         .iter()
-        .map(|marking| {
-            let pipeline = PipelineConfig::with_marking(*marking);
-            let mut overheads = Vec::new();
-            let mut marks = Vec::new();
-            for bench in catalog.benchmarks() {
-                let instrumented = store.instrumented(bench.program(), machine, &pipeline);
-                overheads.push(instrumented.stats().space_overhead * 100.0);
-                marks.push(instrumented.mark_count() as f64);
-            }
+        .zip(&instrumented)
+        .map(|(marking, programs)| {
+            let overheads: Vec<f64> = programs
+                .iter()
+                .map(|p| p.stats().space_overhead * 100.0)
+                .collect();
+            let marks: Vec<f64> = programs.iter().map(|p| p.mark_count() as f64).collect();
             let stats = SummaryStats::of(&overheads);
             let mark_stats = SummaryStats::of(&marks);
             StudyRow::new(marking.to_string())
@@ -534,12 +546,18 @@ fn mark_stats_per_benchmark(
     machine: &MachineSpec,
     pipeline: &PipelineConfig,
 ) -> Vec<StudyRow> {
-    let catalog = store.catalog(catalog);
+    let (catalog, instrumented) = {
+        let _span = phase_trace::span("prepare");
+        let catalog = store.catalog(catalog);
+        let instrumented = store.instrumented_catalog(&catalog, machine, pipeline);
+        (catalog, instrumented)
+    };
+    let _span = phase_trace::span("rows");
     catalog
         .benchmarks()
         .iter()
-        .map(|bench| {
-            let instrumented = store.instrumented(bench.program(), machine, pipeline);
+        .zip(&instrumented)
+        .map(|(bench, instrumented)| {
             StudyRow::new(bench.name())
                 .metric("marks", MetricValue::UInt(instrumented.mark_count() as u64))
                 .metric(
@@ -563,19 +581,24 @@ fn isolation(
     tuner: &TunerConfig,
     sim: &SimConfig,
 ) -> Vec<StudyRow> {
-    let catalog = store.catalog(catalog);
-    let mut plan = ExperimentPlan::new();
-    for bench in catalog.benchmarks() {
-        let instrumented = store.instrumented(bench.program(), machine, pipeline);
-        plan.push(CellSpec::isolation(
-            bench.name(),
-            instrumented,
-            machine.clone(),
-            Policy::Tuned(*tuner),
-            *sim,
-        ));
-    }
+    let plan = {
+        let _span = phase_trace::span("prepare");
+        let catalog = store.catalog(catalog);
+        let instrumented = store.instrumented_catalog(&catalog, machine, pipeline);
+        let mut plan = ExperimentPlan::new();
+        for (bench, instrumented) in catalog.benchmarks().iter().zip(instrumented) {
+            plan.push(CellSpec::isolation(
+                bench.name(),
+                instrumented,
+                machine.clone(),
+                Policy::Tuned(*tuner),
+                *sim,
+            ));
+        }
+        plan
+    };
     let outcome = Driver::new(threads).run_cached(plan, store);
+    let _span = phase_trace::span("rows");
     outcome
         .cells
         .iter()
@@ -612,6 +635,7 @@ fn mark_overhead(
     variants: &[MarkingConfig],
     sim: &SimConfig,
 ) -> Vec<StudyRow> {
+    let prepare = phase_trace::span("prepare");
     let catalog = store.catalog(catalog_spec);
     let workload = workload.build(&catalog);
     let plain: Vec<Arc<InstrumentedProgram>> = catalog
@@ -624,27 +648,25 @@ fn mark_overhead(
         group: "baseline".into(),
         label: "uninstrumented".into(),
         machine: machine.clone(),
-        slots: build_slots(&workload, &catalog, &plain),
+        slots: build_slots(&workload, &catalog, &plain).into(),
         policy: Policy::Stock,
         sim: *sim,
     });
     for marking in variants {
         let pipeline = PipelineConfig::with_marking(*marking);
-        let instrumented: Vec<Arc<InstrumentedProgram>> = catalog
-            .benchmarks()
-            .iter()
-            .map(|b| store.instrumented(b.program(), machine, &pipeline))
-            .collect();
+        let instrumented = store.instrumented_catalog(&catalog, machine, &pipeline);
         plan.push(CellSpec {
             group: marking.to_string(),
             label: format!("all-cores-{marking}"),
             machine: machine.clone(),
-            slots: build_slots(&workload, &catalog, &instrumented),
+            slots: build_slots(&workload, &catalog, &instrumented).into(),
             policy: Policy::AllCores,
             sim: *sim,
         });
     }
+    drop(prepare);
     let outcome = Driver::new(threads).run_cached(plan, store);
+    let _span = phase_trace::span("rows");
     let baseline = &outcome.cells[0].result;
     let baseline_busy: f64 = baseline.core_busy_ns.iter().sum();
     let baseline_rate = baseline.total_instructions as f64 / baseline_busy;
@@ -679,6 +701,7 @@ fn mark_overhead(
 }
 
 fn comparison(store: &ArtifactStore, threads: usize, points: &[ComparisonPoint]) -> Vec<StudyRow> {
+    let prepare = phase_trace::span("prepare");
     let mut plan = ExperimentPlan::new();
     let mut prepared_points = Vec::new();
     for point in points {
@@ -686,7 +709,9 @@ fn comparison(store: &ArtifactStore, threads: usize, points: &[ComparisonPoint])
         plan.extend(comparison_plan(&point.label, &point.config, &prepared));
         prepared_points.push(prepared);
     }
+    drop(prepare);
     let outcome = Driver::new(threads).run_cached(plan, store);
+    let _span = phase_trace::span("rows");
     points
         .iter()
         .zip(&prepared_points)
@@ -744,19 +769,16 @@ fn policy_matrix(
     base_seed: u64,
 ) -> Vec<StudyRow> {
     struct PreparedFamily {
-        baseline_slots: Vec<Vec<phase_sched::JobSpec>>,
-        tuned_slots: Vec<Vec<phase_sched::JobSpec>>,
+        baseline_slots: Arc<[Vec<JobSpec>]>,
+        tuned_slots: Arc<[Vec<JobSpec>]>,
         isolated_ns: Arc<HashMap<String, f64>>,
     }
+    let prepare = phase_trace::span("prepare");
     let prepared: Vec<PreparedFamily> = families
         .iter()
         .map(|family| {
             let catalog = store.catalog(&family.catalog);
-            let instrumented: Vec<Arc<InstrumentedProgram>> = catalog
-                .benchmarks()
-                .iter()
-                .map(|b| store.instrumented(b.program(), machine, pipeline))
-                .collect();
+            let instrumented = store.instrumented_catalog(&catalog, machine, pipeline);
             let plain: Vec<Arc<InstrumentedProgram>> = catalog
                 .benchmarks()
                 .iter()
@@ -773,8 +795,8 @@ fn policy_matrix(
             );
             let workload = family.workload.build(&catalog);
             PreparedFamily {
-                baseline_slots: build_slots(&workload, &catalog, &plain),
-                tuned_slots: build_slots(&workload, &catalog, &instrumented),
+                baseline_slots: build_slots(&workload, &catalog, &plain).into(),
+                tuned_slots: build_slots(&workload, &catalog, &instrumented).into(),
                 isolated_ns,
             }
         })
@@ -787,21 +809,23 @@ fn policy_matrix(
         let seed = cell_seed(base_seed, index as u64);
         for policy in policies {
             let slots = if policy.runs_instrumented() {
-                prep.tuned_slots.clone()
+                &prep.tuned_slots
             } else {
-                prep.baseline_slots.clone()
+                &prep.baseline_slots
             };
             plan.push(CellSpec {
                 group: family.name.clone(),
                 label: format!("{}/{}", family.name, policy_tag(policy)),
                 machine: machine.clone(),
-                slots,
+                slots: Arc::clone(slots),
                 policy: *policy,
                 sim: SimConfig { seed, ..*sim },
             });
         }
     }
+    drop(prepare);
     let outcome = Driver::new(threads).run_cached(plan, store);
+    let _span = phase_trace::span("rows");
 
     let mut rows = Vec::new();
     for (family, prep) in families.iter().zip(&prepared) {
@@ -864,10 +888,11 @@ fn tail_latency(
 ) -> Vec<StudyRow> {
     struct PreparedGroup {
         name: String,
-        baseline_slots: Vec<Vec<phase_sched::JobSpec>>,
-        tuned_slots: Vec<Vec<phase_sched::JobSpec>>,
+        baseline_slots: Arc<[Vec<JobSpec>]>,
+        tuned_slots: Arc<[Vec<JobSpec>]>,
         machine: MachineSpec,
     }
+    let prepare = phase_trace::span("prepare");
     let mut prepared = Vec::new();
     for family in families {
         let catalog = store.catalog(&family.catalog);
@@ -880,17 +905,13 @@ fn tail_latency(
         // on the family spec: every machine replays the *same* request
         // stream, so quantile differences are the machine's and policy's.
         let workload = family.workload.build(&catalog);
-        let baseline_slots = build_slots(&workload, &catalog, &plain);
+        let baseline_slots: Arc<[Vec<JobSpec>]> = build_slots(&workload, &catalog, &plain).into();
         for machine in machines {
-            let instrumented: Vec<Arc<InstrumentedProgram>> = catalog
-                .benchmarks()
-                .iter()
-                .map(|b| store.instrumented(b.program(), machine, pipeline))
-                .collect();
+            let instrumented = store.instrumented_catalog(&catalog, machine, pipeline);
             prepared.push(PreparedGroup {
                 name: format!("{}/{}", family.name, machine.name),
-                baseline_slots: baseline_slots.clone(),
-                tuned_slots: build_slots(&workload, &catalog, &instrumented),
+                baseline_slots: Arc::clone(&baseline_slots),
+                tuned_slots: build_slots(&workload, &catalog, &instrumented).into(),
                 machine: machine.clone(),
             });
         }
@@ -901,21 +922,23 @@ fn tail_latency(
         let seed = cell_seed(base_seed, index as u64);
         for policy in policies {
             let slots = if policy.runs_instrumented() {
-                group.tuned_slots.clone()
+                &group.tuned_slots
             } else {
-                group.baseline_slots.clone()
+                &group.baseline_slots
             };
             plan.push(CellSpec {
                 group: group.name.clone(),
                 label: format!("{}/{}", group.name, policy_tag(policy)),
                 machine: group.machine.clone(),
-                slots,
+                slots: Arc::clone(slots),
                 policy: *policy,
                 sim: SimConfig { seed, ..*sim },
             });
         }
     }
+    drop(prepare);
     let outcome = Driver::new(threads).run_cached(plan, store);
+    let _span = phase_trace::span("rows");
 
     let mut rows = Vec::new();
     for group in &prepared {
@@ -1023,11 +1046,7 @@ fn engine_perf(
             marking: MarkingConfig::basic_block(15, 0),
             ..*pipeline
         };
-        let marked: Vec<Arc<InstrumentedProgram>> = catalog
-            .benchmarks()
-            .iter()
-            .map(|b| store.instrumented(b.program(), machine, &marked_pipeline))
-            .collect();
+        let marked = store.instrumented_catalog(&catalog, machine, &marked_pipeline);
         let slots = build_slots(&perf.workload.build(&catalog), &catalog, &marked);
         let tuner_machine = Arc::new(machine.clone());
         let config = SimConfig {
@@ -1047,11 +1066,7 @@ fn engine_perf(
 
     if !thread_counts.is_empty() {
         let catalog = store.catalog(isolation_catalog);
-        let instrumented: Vec<Arc<InstrumentedProgram>> = catalog
-            .benchmarks()
-            .iter()
-            .map(|b| store.instrumented(b.program(), machine, pipeline))
-            .collect();
+        let instrumented = store.instrumented_catalog(&catalog, machine, pipeline);
         let build_plan = || {
             let mut plan = ExperimentPlan::new();
             for (bench, instrumented) in catalog.benchmarks().iter().zip(&instrumented) {

@@ -153,7 +153,7 @@ fn cell_strategy() -> impl Strategy<Value = CachedCell> {
                 extra,
             )| {
                 CachedCell {
-                    result: SimResult {
+                    result: Arc::new(SimResult {
                         label: format!("cell-{tag:x}"),
                         records,
                         total_instructions,
@@ -162,7 +162,7 @@ fn cell_strategy() -> impl Strategy<Value = CachedCell> {
                         core_busy_ns,
                         total_marks_executed: total_marks,
                         total_core_switches: total_switches,
-                    },
+                    }),
                     tuner_stats: with_tuner.then(|| phase_core::substrate::runtime::TunerStats {
                         sections_monitored: extra[0],
                         monitor_waits: extra[1],

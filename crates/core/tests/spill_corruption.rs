@@ -31,7 +31,7 @@ fn populated_store() -> ArtifactStore {
     let config = ExperimentConfig::smoke_test();
     prepare_workload_cached(&config, &store);
     store.cell(ContentHash { hi: 7, lo: 11 }, || CachedCell {
-        result: SimResult {
+        result: Arc::new(SimResult {
             label: "corruption-battery".to_string(),
             records: Vec::new(),
             total_instructions: 42,
@@ -40,7 +40,7 @@ fn populated_store() -> ArtifactStore {
             core_busy_ns: vec![1.5],
             total_marks_executed: 0,
             total_core_switches: 0,
-        },
+        }),
         tuner_stats: None,
         online_stats: None,
     });

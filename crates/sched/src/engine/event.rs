@@ -301,6 +301,40 @@ impl BucketQueue {
     }
 }
 
+/// The start of round `r`: every event the loop schedules lands on one.
+fn round_time(r: u64, quantum: f64) -> f64 {
+    r as f64 * quantum
+}
+
+/// The last round starting at or before `t`: the largest `r` with
+/// `round_time(r) <= t` (0 when none does). The quotient `t / quantum` can
+/// land one round off when the multiples of `quantum` are not exact in
+/// `f64`, so it is stepped back onto the inverse of [`round_time`].
+fn round_floor(t: f64, quantum: f64) -> u64 {
+    let r = (t / quantum).floor() as u64;
+    if r > 0 && round_time(r, quantum) > t {
+        r - 1
+    } else if r < u64::MAX && round_time(r + 1, quantum) <= t {
+        r + 1
+    } else {
+        r
+    }
+}
+
+/// The first round starting at or after `t`: the smallest `r` with
+/// `round_time(r) >= t`, stepped onto the inverse of [`round_time`] like
+/// [`round_floor`].
+fn round_ceil(t: f64, quantum: f64) -> u64 {
+    let r = (t / quantum).ceil() as u64;
+    if r > 0 && round_time(r - 1, quantum) >= t {
+        r - 1
+    } else if r < u64::MAX && round_time(r, quantum) < t {
+        r + 1
+    } else {
+        r
+    }
+}
+
 /// Runs the simulation to completion (or to the configured horizon) with the
 /// event-driven loop.
 pub(crate) fn run<H: PhaseHook + IntervalHook>(mut core: EngineCore<H>) -> SimResult {
@@ -309,9 +343,9 @@ pub(crate) fn run<H: PhaseHook + IntervalHook>(mut core: EngineCore<H>) -> SimRe
     let sample_interval = core.config.sample_interval_ns;
     let ncores = core.cores.len();
 
-    let round_floor = |t: f64| -> u64 { (t / quantum).floor() as u64 };
-    let round_ceil = |t: f64| -> u64 { (t / quantum).ceil() as u64 };
-    let round_time = |r: u64| -> f64 { r as f64 * quantum };
+    let round_floor = |t: f64| round_floor(t, quantum);
+    let round_ceil = |t: f64| round_ceil(t, quantum);
+    let round_time = |r: u64| round_time(r, quantum);
 
     let mut queue = BucketQueue::new(quantum);
     // All same-timestamp events are applied in one pass from this reusable
@@ -471,6 +505,42 @@ mod tests {
         assert_eq!(batch.len(), 1);
         assert!(queue.drain_at_earliest(&mut batch).is_none());
         assert!(batch.is_empty());
+    }
+
+    #[test]
+    fn round_floor_and_round_ceil_invert_round_time() {
+        // 6.036, 7.7, 3.3 and 0.1 have inexact multiples: at 6.036 the plain
+        // quotient `(t / quantum).floor()` gives `r - 1` for 158 of the first
+        // 2000 rounds.
+        for quantum in [6.036, 7.7, 3.3, 0.1, 20_000.0] {
+            for r in 0..100_000u64 {
+                let t = round_time(r, quantum);
+                assert_eq!(round_floor(t, quantum), r, "floor, r = {r} at {quantum}");
+                assert_eq!(round_ceil(t, quantum), r, "ceil, r = {r} at {quantum}");
+                // The neighbouring doubles, where the quotient can round
+                // onto `r` but the exact answer is one round away.
+                assert_eq!(round_floor(t.next_up(), quantum), r);
+                assert_eq!(round_ceil(t.next_up(), quantum), r + 1);
+                if r > 0 {
+                    assert_eq!(round_floor(t.next_down(), quantum), r - 1);
+                    assert_eq!(round_ceil(t.next_down(), quantum), r);
+                }
+            }
+        }
+        assert_eq!(round_floor(-1.0, 3.3), 0);
+        assert_eq!(round_ceil(-1.0, 3.3), 0);
+    }
+
+    #[test]
+    fn round_helpers_match_the_plain_quotient_at_the_shipped_timeslice() {
+        // Every shipped configuration runs 20 000 ns rounds, whose multiples
+        // are exact: there the stepping never fires.
+        let quantum = 20_000.0;
+        for r in 0..1_000_000u64 {
+            let t = round_time(r, quantum);
+            assert_eq!(round_floor(t, quantum), (t / quantum).floor() as u64);
+            assert_eq!(round_ceil(t, quantum), (t / quantum).ceil() as u64);
+        }
     }
 
     #[test]

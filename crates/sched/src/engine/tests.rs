@@ -382,3 +382,41 @@ fn a_budget_ending_on_an_iteration_boundary_matches_the_round_engine() {
     }
     assert_engines_agree(&program, budget);
 }
+
+#[test]
+fn both_engines_finish_the_queue_at_timeslices_with_inexact_multiples() {
+    // The event engine schedules every wake-up at `round * timeslice`; at
+    // these timeslices the plain quotient read some of them back one round
+    // early, as stale, and the queue ran dry with both jobs unfinished.
+    let program = jump_loop(40);
+    let job = JobSpec::new("loop", unmarked(&program));
+    for timeslice_ns in [6.036, 3.3, 0.1] {
+        let run = |engine| {
+            let config = SimConfig {
+                timeslice_ns,
+                horizon_ns: Some(600_000.0),
+                engine,
+                ..SimConfig::default()
+            };
+            let slots = vec![vec![job.clone(), job.clone()]];
+            Simulation::new("inexact", one_core(), slots, NullHook, config).run()
+        };
+        let round = run(EngineKind::RoundBased);
+        let event = run(EngineKind::EventDriven);
+        for result in [&round, &event] {
+            assert_eq!(result.completed_count(), 2, "{timeslice_ns} ns");
+            assert_eq!(result.total_instructions, 744, "{timeslice_ns} ns");
+        }
+        // Whole-result equality waits for integer time: the round engine
+        // adds the timeslice every round, the event engine multiplies, so
+        // `final_time_ns` can differ in its last bit (193.152 against
+        // 193.15200000000002 at 6.036 ns).
+        let work = |result: &SimResult| -> Vec<(String, u64)> {
+            let records = result.records.iter();
+            records
+                .map(|r| (r.name.clone(), r.stats.instructions))
+                .collect()
+        };
+        assert_eq!(work(&round), work(&event), "{timeslice_ns} ns");
+    }
+}

@@ -28,8 +28,8 @@ fn main() {
 
     let planned = PlannedWorkload {
         name: "drift".into(),
-        baseline_slots: build_slots(&workload, &catalog, &plain),
-        tuned_slots: build_slots(&workload, &catalog, &marked),
+        baseline_slots: build_slots(&workload, &catalog, &plain).into(),
+        tuned_slots: build_slots(&workload, &catalog, &marked).into(),
     };
     let sim = SimConfig {
         horizon_ns: Some(40_000_000.0),

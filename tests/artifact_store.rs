@@ -8,7 +8,7 @@ use std::sync::Arc;
 use phase_tuning::substrate::amp::MachineSpec;
 use phase_tuning::substrate::marking::MarkingConfig;
 use phase_tuning::substrate::runtime::TunerConfig;
-use phase_tuning::substrate::sched::SimConfig;
+use phase_tuning::substrate::sched::{SimConfig, SimResult};
 use phase_tuning::substrate::workload::{CatalogSpec, Workload};
 use phase_tuning::{
     prepare_workload_cached, run_comparison_prepared, ArtifactStore, Driver, ExperimentConfig,
@@ -84,6 +84,15 @@ fn cached_and_uncached_comparisons_agree_bit_for_bit() {
 }
 
 fn cached_plan_outcome(threads: usize, store: &ArtifactStore) -> phase_tuning::PlanOutcome {
+    let plan = cached_plan(
+        store,
+        &[Policy::Stock, Policy::Tuned(TunerConfig::default())],
+    );
+    Driver::new(threads).run_cached(plan, store)
+}
+
+/// One small workload over the store's artifacts, crossed with `policies`.
+fn cached_plan(store: &ArtifactStore, policies: &[Policy]) -> ExperimentPlan {
     let catalog = store.catalog(&CatalogSpec::standard(0.05, 11));
     let machine = MachineSpec::core2_quad_amp();
     let pipeline = PipelineConfig::paper_best();
@@ -100,21 +109,152 @@ fn cached_plan_outcome(threads: usize, store: &ArtifactStore) -> phase_tuning::P
     let workload = Workload::random(&catalog, 4, 1, 11);
     let planned = PlannedWorkload {
         name: "w".into(),
-        baseline_slots: phase_tuning::build_slots(&workload, &catalog, &baseline),
-        tuned_slots: phase_tuning::build_slots(&workload, &catalog, &instrumented),
+        baseline_slots: phase_tuning::build_slots(&workload, &catalog, &baseline).into(),
+        tuned_slots: phase_tuning::build_slots(&workload, &catalog, &instrumented).into(),
     };
     let sim = SimConfig {
         horizon_ns: Some(2_000_000.0),
         ..SimConfig::default()
     };
-    let plan = ExperimentPlan::cross(
-        &[planned],
-        &[machine],
-        &[Policy::Stock, Policy::Tuned(TunerConfig::default())],
-        sim,
-        0xFEED,
+    ExperimentPlan::cross(&[planned], &[machine], policies, sim, 0xFEED)
+}
+
+/// Four cells: every static policy on one workload.
+fn four_policy_plan(store: &ArtifactStore) -> ExperimentPlan {
+    cached_plan(
+        store,
+        &[
+            Policy::Stock,
+            Policy::AllCores,
+            Policy::Tuned(TunerConfig::default()),
+            Policy::Partition,
+        ],
+    )
+}
+
+#[test]
+fn a_warm_plan_is_answered_from_the_store_at_any_worker_count() {
+    let store = ArtifactStore::new();
+    let cold = Driver::new(2).run_cached(four_policy_plan(&store), &store);
+    for threads in [1, 8] {
+        let plan = four_policy_plan(&store);
+        let before = store.snapshot();
+        let warm = Driver::new(threads).run_cached(plan, &store);
+        let delta = store.snapshot().delta_since(&before);
+        let cells = delta.stage("cells").unwrap();
+        assert_eq!(
+            (cells.hits, cells.misses),
+            (4, 0),
+            "one counted hit per cell at {threads} workers"
+        );
+        let inserts: u64 = delta.stages.iter().map(|(_, stage)| stage.inserts).sum();
+        assert_eq!(inserts, 0, "a warm plan admits nothing");
+        assert_eq!(warm.aggregate, cold.aggregate);
+        for (a, b) in cold.cells.iter().zip(&warm.cells) {
+            assert_eq!((a.index, &a.group, &a.label), (b.index, &b.group, &b.label));
+            assert_eq!(a.result, b.result, "cell {}", a.label);
+            assert_eq!(a.tuner_stats, b.tuner_stats, "cell {}", a.label);
+            assert_eq!(a.online_stats, b.online_stats, "cell {}", a.label);
+        }
+    }
+}
+
+#[test]
+fn a_plan_with_one_new_cell_computes_only_that_cell() {
+    let store = ArtifactStore::new();
+    Driver::new(2).run_cached(four_policy_plan(&store), &store);
+    let mut plan = four_policy_plan(&store);
+    let mut reseeded = plan.cells()[0].clone();
+    reseeded.sim.seed ^= 1;
+    reseeded.label = "w/reseeded/stock".into();
+    plan.push(reseeded);
+    let reference = Driver::new(1).run(plan.clone());
+    let before = store.snapshot();
+    let outcome = Driver::new(2).run_cached(plan, &store);
+    let cells = store
+        .snapshot()
+        .delta_since(&before)
+        .stage("cells")
+        .unwrap();
+    assert_eq!((cells.hits, cells.misses, cells.inserts), (4, 1, 1));
+    for (a, b) in reference.cells.iter().zip(&outcome.cells) {
+        assert_eq!(a.result, b.result, "cell {}", a.label);
+    }
+}
+
+#[test]
+fn warm_hits_share_the_stored_result_and_relabel_for_another_label() {
+    let store = ArtifactStore::new();
+    let spec = four_policy_plan(&store).cells()[0].clone();
+    Driver::new(1).run_cached(four_policy_plan(&store), &store);
+    let warm = Driver::new(1).run_cached(four_policy_plan(&store), &store);
+    let key = store.cell_key(&spec.machine, &spec.policy, &spec.sim, &spec.slots);
+    let stored = store.cell(key, || unreachable!("the cell is resident"));
+    assert!(
+        Arc::ptr_eq(&warm.cells[0].result, &stored.result),
+        "a hit under the stored label shares the stored result"
     );
-    Driver::new(threads).run_cached(plan, store)
+
+    // The same content under another group and label: one hit, and the
+    // result reports the new label while the stored one keeps its own.
+    let mut renamed = spec.clone();
+    renamed.group = "elsewhere".into();
+    renamed.label = "elsewhere/stock".into();
+    let mut plan = ExperimentPlan::new();
+    plan.push(renamed);
+    let before = store.snapshot();
+    let outcome = Driver::new(1).run_cached(plan, &store);
+    let cells = store
+        .snapshot()
+        .delta_since(&before)
+        .stage("cells")
+        .unwrap();
+    assert_eq!((cells.hits, cells.misses), (1, 0));
+    let cell = &outcome.cells[0];
+    assert_eq!(cell.label, "elsewhere/stock");
+    assert_eq!(cell.result.label, "elsewhere/stock");
+    assert_eq!(stored.result.label, spec.label);
+    let relabelled = SimResult {
+        label: spec.label.clone(),
+        ..SimResult::clone(&cell.result)
+    };
+    assert_eq!(relabelled, *stored.result);
+}
+
+#[test]
+fn instrumented_catalog_shares_the_per_program_artifacts() {
+    let store = ArtifactStore::new();
+    let catalog = store.catalog(&CatalogSpec::standard(0.05, 7));
+    let machine = MachineSpec::core2_quad_amp();
+    let config = PipelineConfig::paper_best();
+    let per_program: Vec<_> = catalog
+        .benchmarks()
+        .iter()
+        .map(|b| store.instrumented(b.program(), &machine, &config))
+        .collect();
+    let before = store.snapshot();
+    let whole = store.instrumented_catalog(&catalog, &machine, &config);
+    let stage = store.snapshot().delta_since(&before);
+    let stage = stage.stage("instrumented").unwrap();
+    assert_eq!(
+        (stage.hits, stage.misses),
+        (catalog.len() as u64, 0),
+        "one counted lookup per program, every one a hit"
+    );
+    assert_eq!(whole.len(), per_program.len());
+    for (a, b) in whole.iter().zip(&per_program) {
+        assert!(
+            Arc::ptr_eq(a, b),
+            "the catalogue lookup keys like the per-program one"
+        );
+    }
+
+    // The machine is part of the key prefix.
+    let before = store.snapshot();
+    store.instrumented_catalog(&catalog, &MachineSpec::three_core_amp(), &config);
+    let stage = store.snapshot().delta_since(&before);
+    let stage = stage.stage("instrumented").unwrap();
+    assert_eq!((stage.hits, stage.misses), (0, catalog.len() as u64));
 }
 
 #[test]

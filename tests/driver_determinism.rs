@@ -27,8 +27,8 @@ fn plan() -> ExperimentPlan {
     .into_iter()
     .map(|(name, workload)| PlannedWorkload {
         name: name.to_string(),
-        baseline_slots: build_slots(&workload, &catalog, &plain),
-        tuned_slots: build_slots(&workload, &catalog, &instrumented),
+        baseline_slots: build_slots(&workload, &catalog, &plain).into(),
+        tuned_slots: build_slots(&workload, &catalog, &instrumented).into(),
     })
     .collect();
     // An unmarkable drifting workload: its online cells exercise the
@@ -36,8 +36,8 @@ fn plan() -> ExperimentPlan {
     let drifting = Workload::drifting(&drifting_catalog, 4, 1, 33);
     workloads.push(PlannedWorkload {
         name: "drifting".to_string(),
-        baseline_slots: build_slots(&drifting, &drifting_catalog, &drifting_plain),
-        tuned_slots: build_slots(&drifting, &drifting_catalog, &drifting_plain),
+        baseline_slots: build_slots(&drifting, &drifting_catalog, &drifting_plain).into(),
+        tuned_slots: build_slots(&drifting, &drifting_catalog, &drifting_plain).into(),
     });
     let sim = SimConfig {
         horizon_ns: Some(3_000_000.0),

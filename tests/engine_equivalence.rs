@@ -14,6 +14,8 @@
 //! drive the same scheduling primitives with the same floating-point
 //! additions in the same order.
 
+use std::sync::Arc;
+
 use phase_tuning::substrate::sched::{EngineKind, JobSpec, SimConfig, SimResult};
 use phase_tuning::substrate::workload::{Catalog, Workload};
 use phase_tuning::{
@@ -21,7 +23,7 @@ use phase_tuning::{
     PipelineConfig, Policy,
 };
 
-fn run_engine(slots: Vec<Vec<JobSpec>>, policy: Policy, engine: EngineKind) -> SimResult {
+fn run_engine(slots: Vec<Vec<JobSpec>>, policy: Policy, engine: EngineKind) -> Arc<SimResult> {
     run_engine_until(slots, policy, engine, 6_000_000.0)
 }
 
@@ -30,7 +32,7 @@ fn run_engine_until(
     policy: Policy,
     engine: EngineKind,
     horizon_ns: f64,
-) -> SimResult {
+) -> Arc<SimResult> {
     let machine = phase_tuning::substrate::amp::MachineSpec::core2_quad_amp();
     let sim = SimConfig {
         horizon_ns: Some(horizon_ns),
@@ -42,7 +44,7 @@ fn run_engine_until(
         group: "golden".into(),
         label: format!("golden-{engine}"),
         machine,
-        slots,
+        slots: slots.into(),
         policy,
         sim,
     });
@@ -160,7 +162,7 @@ fn engines_agree_on_a_large_bursty_workload_with_online_sampling() {
     let catalog = Catalog::standard(0.15, 5);
     let workload = Workload::bursty(&catalog, 12, 2, 3, 1_250_000.0, 9);
     let programs = baseline_catalog(&catalog);
-    let slots = build_slots(&workload, &catalog, &programs);
+    let slots: Arc<[Vec<JobSpec>]> = build_slots(&workload, &catalog, &programs).into();
     let policy = Policy::Online(OnlineConfig {
         sample_interval_ns: 180_000.0,
         ..OnlineConfig::default()
@@ -175,7 +177,7 @@ fn engines_agree_on_a_large_bursty_workload_with_online_sampling() {
             group: "golden-large".into(),
             label: format!("golden-large-{engine}"),
             machine: machine.clone(),
-            slots: slots.clone(),
+            slots: Arc::clone(&slots),
             policy,
             sim: SimConfig { engine, ..sim },
         });
