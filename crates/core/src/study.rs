@@ -12,17 +12,22 @@
 
 use std::collections::HashMap;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use phase_amp::MachineSpec;
+use phase_amp::{AffinityMask, MachineSpec};
+use phase_analysis::PhaseType;
 use phase_analysis::{assign_block_types, StaticTypingConfig};
 use phase_cfg::{CallGraph, Cfg, DominatorTree, IntervalPartition, LoopForest};
 use phase_ir::Program;
 use phase_marking::{InstrumentedProgram, MarkingConfig};
 use phase_metrics::SummaryStats;
 use phase_runtime::{PhaseTuner, TunerConfig};
-use phase_sched::{EngineKind, IntervalHook, JobSpec, NullHook, PhaseHook, SimConfig, SimResult};
+use phase_sched::{
+    EngineKind, IntervalHook, IntervalObservation, JobSpec, MarkContext, MarkFilter, MarkResponse,
+    NullHook, PhaseHook, Pid, SimConfig, SimResult,
+};
 use phase_workload::{CatalogSpec, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
@@ -300,9 +305,9 @@ pub enum StudyMode {
     /// Wall-clock engine and driver throughput (the continuous perf gate).
     /// For every workload × engine pair: one row with `wall_s` (best of
     /// `samples`), `sims_per_sec` (full simulations per second, `1 / wall_s`),
-    /// `instructions`, `marks_executed` and `minstr_per_s`; event rows add
-    /// `speedup_vs_round` and assert that the whole [`SimResult`] equals the
-    /// round engine's. The first workload then runs again on
+    /// `instructions`, `marks_executed`, `hook_calls` (marks handed to the
+    /// hook) and `minstr_per_s`; event rows add `speedup_vs_round` and assert
+    /// that the whole [`SimResult`] equals the round engine's. The first workload then runs again on
     /// `BB[15,0]`-marked binaries under a [`PhaseTuner`] built from `tuner`
     /// (rows `<name>-marked/round` and `<name>-marked/event`), so the phase
     /// mark path is timed too; the other engine rows run unmarked binaries
@@ -1116,10 +1121,47 @@ fn engine_perf(
     rows
 }
 
+/// A hook that counts the marks handed to the hook it wraps, for the
+/// engine rows' `hook_calls`; everything else passes straight through.
+struct CountingHook<H> {
+    hook: H,
+    calls: Arc<AtomicU64>,
+}
+
+impl<H: PhaseHook> PhaseHook for CountingHook<H> {
+    fn on_process_start(&mut self, pid: Pid, program: &InstrumentedProgram) {
+        self.hook.on_process_start(pid, program);
+    }
+
+    fn on_phase_mark(&mut self, ctx: &MarkContext<'_>) -> MarkResponse {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.hook.on_phase_mark(ctx)
+    }
+
+    fn settled(&self, pid: Pid, phase_type: PhaseType) -> Option<MarkFilter> {
+        self.hook.settled(pid, phase_type)
+    }
+
+    fn on_process_exit(&mut self, pid: Pid) {
+        self.hook.on_process_exit(pid);
+    }
+}
+
+impl<H: IntervalHook> IntervalHook for CountingHook<H> {
+    fn on_sample_interval(&mut self, observation: &IntervalObservation) -> Option<AffinityMask> {
+        self.hook.on_sample_interval(observation)
+    }
+}
+
 /// Times both engines on the same slots, each run under a fresh `hook()`,
 /// and pushes a `<name>/round` and a `<name>/event` row. The event row adds
 /// `speedup_vs_round` and asserts that the event engine's whole
 /// [`SimResult`] equals the round engine's.
+///
+/// Each row also counts the marks the engine handed the hook. The round
+/// engine must hand it every mark; the event engine resolves settled marks
+/// without the hook, and must hand it at most a tenth of them, so a change
+/// that turns the inline path off fails here.
 fn engine_rows<H: PhaseHook + IntervalHook>(
     rows: &mut Vec<StudyRow>,
     name: &str,
@@ -1132,24 +1174,45 @@ fn engine_rows<H: PhaseHook + IntervalHook>(
     let mut round = None::<(f64, SimResult)>;
     for engine in [EngineKind::RoundBased, EngineKind::EventDriven] {
         let config = SimConfig { engine, ..config };
-        let (best, result) = best_of(
+        let (best, (result, hook_calls)) = best_of(
             samples,
-            || (machine.clone(), slots.to_vec(), hook()),
-            |(machine, slots, hook)| run_with_hook("engine-perf", machine, slots, hook, config),
+            || {
+                let calls = Arc::new(AtomicU64::new(0));
+                let hook = CountingHook {
+                    hook: hook(),
+                    calls: Arc::clone(&calls),
+                };
+                (machine.clone(), slots.to_vec(), hook, calls)
+            },
+            |(machine, slots, hook, calls)| {
+                let result = run_with_hook("engine-perf", machine, slots, hook, config);
+                (result, calls.load(Ordering::Relaxed))
+            },
         );
+        let marks = result.total_marks_executed;
         let engine_name = match engine {
-            EngineKind::RoundBased => "round",
-            EngineKind::EventDriven => "event",
+            EngineKind::RoundBased => {
+                assert_eq!(
+                    hook_calls, marks,
+                    "the round engine hands the hook every mark on '{name}'"
+                );
+                "round"
+            }
+            EngineKind::EventDriven => {
+                assert!(
+                    hook_calls * 10 <= marks,
+                    "the event engine handed the hook {hook_calls} of {marks} marks on '{name}'"
+                );
+                "event"
+            }
         };
         let mut row = StudyRow::new(format!("{name}/{engine_name}"))
             .metric("engine", MetricValue::Text(engine_name.into()))
             .metric("wall_s", MetricValue::Float(best))
             .metric("sims_per_sec", MetricValue::Float(1.0 / best))
             .metric("instructions", MetricValue::UInt(result.total_instructions))
-            .metric(
-                "marks_executed",
-                MetricValue::UInt(result.total_marks_executed),
-            )
+            .metric("marks_executed", MetricValue::UInt(marks))
+            .metric("hook_calls", MetricValue::UInt(hook_calls))
             .metric(
                 "minstr_per_s",
                 MetricValue::Float(result.total_instructions as f64 / best / 1e6),
@@ -1353,6 +1416,16 @@ mod tests {
         );
         assert!(marked_event.f64("speedup_vs_round") > 0.0);
         assert!(marked_round.get("speedup_vs_round").is_none());
+        assert_eq!(event.u64("hook_calls"), 0, "no marks, no hook calls");
+        assert_eq!(
+            marked_round.u64("hook_calls"),
+            marked_round.u64("marks_executed"),
+            "the round engine hands the tuner every mark"
+        );
+        assert!(
+            marked_event.u64("hook_calls") * 10 <= marked_event.u64("marks_executed"),
+            "settled marks resolve without the tuner"
+        );
         let seq = &report.rows[4];
         assert_eq!(seq.label, "table1/threads=1");
         assert_eq!(seq.f64("parallel_speedup"), 1.0);

@@ -13,6 +13,16 @@
 //! fastest kind and affinity masks are computed once, when the tuner is
 //! built. It hashes nothing and allocates nothing; `tests/mark_path_alloc.rs` counts
 //! the allocations of 10 000 decided marks and expects zero.
+//!
+//! Most decided marks do not even reach the tuner. While a process is quiet
+//! (no monitoring armed, no sampling pin set), [`PhaseHook::settled`] answers
+//! for each decided phase type the situations in which its mark changes
+//! nothing: on a core of a narrower-than-machine mask it answers `none`, and
+//! with the process already holding the mask it re-applies a mask that is
+//! already in place. The event engine resolves those marks inside its block
+//! loop without calling the tuner; the round engine still calls it at every
+//! mark. `tests/settled_contract.rs` checks that every mark such a filter
+//! covers is indeed a no-op.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,7 +33,9 @@ use serde::{Deserialize, Serialize};
 use phase_amp::{AffinityMask, CoreKind, CounterBank, MachineSpec};
 use phase_analysis::PhaseType;
 use phase_marking::InstrumentedProgram;
-use phase_sched::{IntervalHook, MarkContext, MarkResponse, PhaseHook, Pid, SectionObservation};
+use phase_sched::{
+    IntervalHook, MarkContext, MarkFilter, MarkResponse, PhaseHook, Pid, SectionObservation,
+};
 
 use crate::algorithm::{select_core_kind, ObservedIpc};
 
@@ -263,6 +275,45 @@ impl MachineFacts {
             .find(|(k, _)| *k == kind)
             .map_or(AffinityMask::from_cores([]), |(_, mask)| *mask)
     }
+
+    /// Whether a phase type decided for `kind` is released to every core
+    /// rather than pinned to its kind.
+    fn releases(&self, kind: CoreKind, config: &TunerConfig) -> bool {
+        kind == self.fastest && !config.pin_preferred_fast
+    }
+
+    /// The affinity a phase type decided for `kind` runs under.
+    fn decided_mask(&self, kind: CoreKind, config: &TunerConfig) -> AffinityMask {
+        if self.releases(kind, config) {
+            self.all_cores
+        } else {
+            self.kind_mask(kind)
+        }
+    }
+
+    /// When a mark of a phase type decided for `kind`, by a quiet process,
+    /// changes nothing: `on_phase_mark` answers `none` on a core of a mask
+    /// narrower than the machine, and otherwise re-applies the mask, a no-op
+    /// once the process holds it.
+    fn settled_filter(&self, kind: CoreKind, config: &TunerConfig) -> MarkFilter {
+        let mask = self.decided_mask(kind, config);
+        if mask.core_count() < self.core_count {
+            MarkFilter {
+                cores: Some(mask),
+                affinity: None,
+            }
+        } else if self.releases(kind, config) {
+            MarkFilter {
+                cores: None,
+                affinity: Some(mask),
+            }
+        } else {
+            MarkFilter {
+                cores: Some(mask),
+                affinity: Some(mask),
+            }
+        }
+    }
 }
 
 struct TunerInner {
@@ -384,13 +435,9 @@ impl PhaseHook for PhaseTuner {
         //    to a core-switch decision.
         if let Some(kind) = state.try_decide(phase_type, machine, facts, config, stats) {
             let was_pinned = std::mem::replace(&mut state.sampling_pinned, false);
-            let mask = if kind == facts.fastest && !config.pin_preferred_fast {
-                // The phase gains nothing from occupying a particular kind;
-                // hand it back to the OS so no core type starves.
-                facts.all_cores
-            } else {
-                facts.kind_mask(kind)
-            };
+            // A phase that gains nothing from occupying a particular kind is
+            // handed back to the OS, so no core type starves.
+            let mask = facts.decided_mask(kind, config);
             if mask.allows(ctx.core) && !was_pinned && mask.core_count() < facts.core_count {
                 return MarkResponse::none();
             }
@@ -448,6 +495,20 @@ impl PhaseHook for PhaseTuner {
             }
         }
         response
+    }
+
+    /// A decided phase type is settled while the process is quiet: no
+    /// monitoring armed and no sampling pin set. Its mark then changes
+    /// nothing on a core of a mask narrower than the machine, and nothing
+    /// once the process holds a whole-machine mask.
+    fn settled(&self, pid: Pid, phase_type: PhaseType) -> Option<MarkFilter> {
+        let inner = self.inner.lock();
+        let state = inner.processes.get(pid.index())?.as_ref()?;
+        if state.monitoring.is_some() || state.sampling_pinned {
+            return None;
+        }
+        let kind = *state.assignments.get(&phase_type)?;
+        Some(inner.facts.settled_filter(kind, &inner.config))
     }
 
     fn on_process_exit(&mut self, pid: Pid) {

@@ -1,10 +1,13 @@
-//! A decided phase mark allocates nothing.
+//! A decided phase mark allocates nothing, and neither does asking whether
+//! a phase type is settled.
 //!
 //! Once a phase type's core kind is known, every mark of that type "reduces
 //! to simply making appropriate core switching decisions" (Section II). The
 //! simulator executes millions of such marks per study, so the tuner's
 //! decided path must be a table read: no kind list, core list or map entry
-//! built per mark. A counting global allocator checks that directly.
+//! built per mark. The event engine asks `PhaseHook::settled` after every
+//! mark the tuner sees, so that answer must be a table read too. A counting
+//! global allocator checks both directly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,7 +19,7 @@ use phase_analysis::PhaseType;
 use phase_ir::{BlockId, Location, ProcId};
 use phase_marking::{MarkId, PhaseMark};
 use phase_runtime::{PhaseTuner, TunerConfig};
-use phase_sched::{MarkContext, MarkResponse, PhaseHook, Pid, SectionObservation};
+use phase_sched::{MarkContext, MarkFilter, MarkResponse, PhaseHook, Pid, SectionObservation};
 
 /// Counts the allocations made by the current thread, so the test harness's
 /// own threads cannot disturb the count.
@@ -149,4 +152,21 @@ fn a_decided_mark_allocates_nothing() {
     assert_eq!(after.assignments_decided, decided.assignments_decided);
     assert_eq!(after.sections_monitored, decided.sections_monitored);
     assert_eq!(after.switch_requests, decided.switch_requests + 5_000);
+
+    // The decided type is settled on the slow cores; the other type, never
+    // marked, is not.
+    let before = allocations();
+    for i in 0..10_000u32 {
+        let settled = tuner.settled(Pid(0), PhaseType(i % 2));
+        let expected = (i % 2 == 0).then_some(MarkFilter {
+            cores: Some(slow_cores),
+            affinity: None,
+        });
+        assert_eq!(black_box(settled), expected, "settled query {i}");
+    }
+    let allocated = allocations() - before;
+    assert_eq!(
+        allocated, 0,
+        "10 000 settled queries allocated {allocated} times"
+    );
 }

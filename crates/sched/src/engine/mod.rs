@@ -17,25 +17,33 @@
 //!   (`run_core_quantum_fast`) steps pre-compiled dense control flow and a
 //!   flat per-block [`HotSlab`] arena with every per-block accumulator held
 //!   in locals, resolves marked edges in the slab's dense edge table instead
-//!   of hashing them, and replays counted loops whose body is tabled in the
-//!   [`DenseProgram`], cost-filled and unmarked from a local copy of the
-//!   body's costs (`run_blocks_fast`).
+//!   of hashing them, resolves settled marks ([`PhaseHook::settled`])
+//!   without leaving the block loop or calling the hook, and replays counted
+//!   loops whose body is tabled in the [`DenseProgram`], cost-filled and
+//!   free of unsettled marks from a local copy of the body's costs
+//!   (`run_blocks_fast`).
 //!
 //! Both drivers mutate the *same* `EngineCore` state with the same arithmetic
 //! in the same order, which is what makes the event-driven engine bit-for-bit
 //! equivalent to the reference loop (see `tests/engine_equivalence.rs` at the
 //! workspace root). The loop replay keeps that rule: it charges the same
 //! blocks one by one, never k iterations at once, so every floating-point
-//! accumulator sees the same additions in the same order.
+//! accumulator sees the same additions in the same order. So does an inline
+//! mark: it does `execute_mark`'s work in `execute_mark`'s order, and the
+//! round engine, which hands the hook every mark, checks the hook's
+//! settled-mark contract through the engines' equivalence.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use phase_amp::{AffinityMask, CoreId, CoreKind, CostModel, MachineSpec, SharingContext};
+use phase_analysis::PhaseType;
 use phase_ir::Location;
 use phase_marking::{MARK_DECISION_INSTRUCTIONS, MARK_MONITOR_INSTRUCTIONS};
 
-use crate::hooks::{IntervalHook, IntervalObservation, MarkContext, PhaseHook, SectionObservation};
+use crate::hooks::{
+    IntervalHook, IntervalObservation, MarkContext, MarkFilter, PhaseHook, SectionObservation,
+};
 use crate::interp::Interpreter;
 use crate::process::{BlockTally, HotCounters, Pid, ProcessState, ProcessTable};
 use crate::sim::{JobSpec, ProcessRecord, SimConfig, SimResult};
@@ -78,13 +86,19 @@ struct BlockRecord {
     flags: u8,
 }
 
-/// One marked out-edge of a block, in dense indices: the edge's target and
-/// the index of its mark in `InstrumentedProgram::marks`.
+/// One marked out-edge of a block, in dense indices: the edge's target, the
+/// index of its mark in `InstrumentedProgram::marks`, and the mark's phase
+/// type.
 #[derive(Debug, Clone, Copy)]
 struct MarkEdge {
     to: u32,
     mark: u32,
+    phase_type: PhaseType,
 }
+
+/// Phase types below this bound can be settled in the event engine's
+/// per-process filter tables; marks of higher types always reach the hook.
+const MAX_SETTLED_TYPES: usize = 64;
 
 /// Flat per-block arena for one `(instrumented program, core kind, sharing)`
 /// context.
@@ -130,8 +144,12 @@ impl HotSlab {
         for (index, mark) in instrumented.marks().iter().enumerate() {
             if let (Some(from), Some(to)) = (dense_of(mark.from), dense_of(mark.to)) {
                 records[from as usize].flags |= HAS_MARK;
-                let mark = index as u32;
-                edges.push((from, MarkEdge { to, mark }));
+                let edge = MarkEdge {
+                    to,
+                    mark: index as u32,
+                    phase_type: mark.phase_type,
+                };
+                edges.push((from, edge));
             }
         }
         // Stable, so each block's edges stay in mark order.
@@ -156,30 +174,76 @@ impl HotSlab {
     }
 
     /// The loop body of the counted latch `latch`, if the event engine may
-    /// replay it in this context: the latch has a tabled body, every body
-    /// block's cost is filled, and no body block carries a mark.
+    /// replay it for this process on `core`: the latch has a tabled body,
+    /// every body block's cost is filled, and every marked in-loop edge
+    /// resolves inline. The in-loop edges are each body block's edge to the
+    /// next block and the latch's taken edge; a mark on the latch's
+    /// fall-through edge is met after the replay, like any other.
+    ///
+    /// One check covers the whole replay: an inline mark changes neither the
+    /// core, the affinity nor monitoring. Returns the body, latch last, and
+    /// whether any in-loop edge carries a mark. `MARKED` is whether the slab
+    /// has marks at all ([`is_marked`](Self::is_marked)).
     #[inline]
-    fn replayable_body<'a>(&self, dp: &'a DenseProgram, latch: u32) -> Option<&'a [u32]> {
+    fn replayable_body<'a, const MARKED: bool>(
+        &self,
+        dp: &'a DenseProgram,
+        latch: u32,
+        inline: &InlineMarks<'_>,
+        core: CoreId,
+    ) -> Option<(&'a [u32], bool)> {
         let body = dp.loop_body(latch);
-        let ready = !body.is_empty()
-            && body.iter().all(|&block| {
-                self.records[block as usize].flags & (COST_FILLED | HAS_MARK) == COST_FILLED
-            });
-        ready.then_some(body)
+        if body.is_empty() {
+            return None;
+        }
+        let mut marked = false;
+        for (i, &block) in body.iter().enumerate() {
+            let flags = self.records[block as usize].flags;
+            if flags & COST_FILLED == 0 {
+                return None;
+            }
+            if MARKED && flags & HAS_MARK != 0 {
+                if let Some(edge) = self.edge(block, body[(i + 1) % body.len()]) {
+                    if !inline.resolves(edge.phase_type, core) {
+                        return None;
+                    }
+                    marked = true;
+                }
+            }
+        }
+        Some((body, marked))
     }
 
-    /// The index in `InstrumentedProgram::marks` of the mark on the dense
-    /// edge `from -> to`, if any. Of two marks on one edge the later wins,
-    /// exactly as the instrumented program's own edge lookup resolves it.
+    /// Whether any edge of the program carries a mark.
+    fn is_marked(&self) -> bool {
+        !self.mark_edges.is_empty()
+    }
+
+    /// The settled marks of a replayable body's in-loop edges: entry `i` is
+    /// the phase type of the mark crossed on the way into `body[i]`, if any.
+    fn body_marks(&self, body: &[u32]) -> [Option<PhaseType>; MAX_LOOP_BODY] {
+        let mut marks = [None; MAX_LOOP_BODY];
+        for (i, &block) in body.iter().enumerate() {
+            if self.records[block as usize].flags & HAS_MARK != 0 {
+                let next = (i + 1) % body.len();
+                marks[next] = self.edge(block, body[next]).map(|edge| edge.phase_type);
+            }
+        }
+        marks
+    }
+
+    /// The mark on the dense edge `from -> to`, if any. Of two marks on one
+    /// edge the later wins, exactly as the instrumented program's own edge
+    /// lookup resolves it.
     #[inline]
-    fn edge_mark(&self, from: u32, to: u32) -> Option<usize> {
+    fn edge(&self, from: u32, to: u32) -> Option<MarkEdge> {
         let edges =
             self.edge_start[from as usize] as usize..self.edge_start[from as usize + 1] as usize;
         self.mark_edges[edges]
             .iter()
             .rev()
             .find(|edge| edge.to == to)
-            .map(|edge| edge.mark as usize)
+            .copied()
     }
 }
 
@@ -233,6 +297,10 @@ pub(crate) struct EngineCore<H: PhaseHook + IntervalHook> {
     releases: Vec<f64>,
     /// Absolute completion deadline per spawned process, indexed by pid.
     deadlines: Vec<Option<f64>>,
+    /// The settled-mark filters the hook answered for each process since
+    /// its last `None`, indexed by pid, then by phase type. Only the event
+    /// engine fills them; see [`PhaseHook::settled`].
+    settled: Vec<Vec<Option<MarkFilter>>>,
     pub(crate) total_instructions: u64,
     pub(crate) throughput_windows: Vec<u64>,
 }
@@ -311,6 +379,7 @@ impl<H: PhaseHook + IntervalHook> EngineCore<H> {
             sharers_scratch: Vec::new(),
             releases: Vec::new(),
             deadlines: Vec::new(),
+            settled: Vec::new(),
             total_instructions: 0,
             throughput_windows: Vec::new(),
         };
@@ -556,12 +625,19 @@ impl<H: PhaseHook + IntervalHook> EngineCore<H> {
     /// The event engine's quantum: identical scheduling decisions and
     /// arithmetic to [`run_core_quantum`](Self::run_core_quantum), but the
     /// per-block loop runs over pre-compiled dense control flow with the
-    /// slab, interpreter, and hot counters borrowed once per dispatch.
+    /// slab, interpreter, and hot counters borrowed once per dispatch, and
+    /// resolves settled marks without the hook. After each mark the hook
+    /// does see, the process's settled-mark filters are refreshed.
     fn run_core_quantum_fast(&mut self, core: CoreId, sharers_per_group: &[usize]) {
         let kind_index = self.cost.spec().kind_of(core).index();
         let freq = self.cost.spec().core(core).freq_ghz;
         let group = self.cost.spec().core(core).l2_group;
         let sharing = SharingContext::shared_by(sharers_per_group[group]);
+        // `execute_mark`'s charge for a mark that arms no monitoring.
+        let mark_charge = self.config.charge_mark_overhead.then(|| {
+            let cycles = MARK_DECISION_INSTRUCTIONS as f64;
+            (MARK_DECISION_INSTRUCTIONS, cycles, cycles / freq)
+        });
 
         let mut consumed = 0.0;
         while consumed < self.config.timeslice_ns {
@@ -601,10 +677,30 @@ impl<H: PhaseHook + IntervalHook> EngineCore<H> {
 
             loop {
                 let outcome = {
+                    // Armed monitoring sends every mark to the hook.
+                    let filters = if self.procs.is_monitoring(pid_i) {
+                        &[][..]
+                    } else {
+                        &self.settled[pid_i][..]
+                    };
+                    let inline = InlineMarks {
+                        filters,
+                        affinity: self.procs.affinity(pid_i),
+                        trace_pid: u64::from(pid.0) << 32,
+                        start_ns: self.clock_ns + consumed,
+                        charge: mark_charge,
+                    };
                     let slab = &mut self.slabs[slab_i];
+                    // An unmarked program runs the block loop compiled
+                    // without the mark path.
+                    let run_blocks = if slab.is_marked() {
+                        run_blocks_fast::<true>
+                    } else {
+                        run_blocks_fast::<false>
+                    };
                     let interp = &mut self.procs.interps[pid_i];
                     let hot = &mut self.procs.hot[pid_i];
-                    run_blocks_fast(
+                    run_blocks(
                         slab,
                         interp,
                         hot,
@@ -615,6 +711,7 @@ impl<H: PhaseHook + IntervalHook> EngineCore<H> {
                         sharing,
                         kind_index,
                         self.sampling,
+                        &inline,
                         budget,
                         &mut elapsed,
                         &mut cur,
@@ -627,20 +724,16 @@ impl<H: PhaseHook + IntervalHook> EngineCore<H> {
                         finished = true;
                         break;
                     }
-                    BlockRun::MarkedEdge { next } => {
-                        let mark = self.slabs[slab_i]
-                            .edge_mark(cur, next)
-                            .map(|index| instrumented.marks()[index]);
-                        cur = next;
-                        if let Some(mark) = mark {
-                            let now = self.clock_ns + consumed + elapsed;
-                            let (extra_ns, did_migrate) =
-                                self.execute_mark(pid, core, &mark, now, freq, kind_index);
-                            elapsed += extra_ns;
-                            if did_migrate {
-                                migrated = true;
-                                break;
-                            }
+                    BlockRun::MarkedEdge { mark } => {
+                        let mark = instrumented.marks()[mark as usize];
+                        let now = self.clock_ns + consumed + elapsed;
+                        let (extra_ns, did_migrate) =
+                            self.execute_mark(pid, core, &mark, now, freq, kind_index);
+                        elapsed += extra_ns;
+                        self.refresh_settled(pid, mark.phase_type);
+                        if did_migrate {
+                            migrated = true;
+                            break;
                         }
                     }
                 }
@@ -786,6 +879,23 @@ impl<H: PhaseHook + IntervalHook> EngineCore<H> {
         (extra_ns, migrated)
     }
 
+    /// Refreshes `pid`'s settled-mark filters after the hook saw one of its
+    /// marks of `phase_type`: records the hook's filter for that type, or
+    /// forgets every filter of the process when the hook answers `None`.
+    fn refresh_settled(&mut self, pid: Pid, phase_type: PhaseType) {
+        let filters = &mut self.settled[pid.index()];
+        match self.hook.settled(pid, phase_type) {
+            Some(filter) if phase_type.index() < MAX_SETTLED_TYPES => {
+                if filters.len() <= phase_type.index() {
+                    filters.resize(phase_type.index() + 1, None);
+                }
+                filters[phase_type.index()] = Some(filter);
+            }
+            Some(_) => {}
+            None => filters.clear(),
+        }
+    }
+
     /// Picks the next process eligible to run on `core` at core-local time
     /// `now_ns`: its own queue first, then an idle-steal from the most loaded
     /// core. Jobs spawned mid-round by an earlier core may carry arrival
@@ -894,6 +1004,7 @@ impl<H: PhaseHook + IntervalHook> EngineCore<H> {
         debug_assert_eq!(pid, next_pid);
         self.releases.push(job.release_ns);
         self.deadlines.push(job.deadline_ns);
+        self.settled.push(Vec::new());
         debug_assert_eq!(self.releases.len(), self.procs.len());
         self.hook.on_process_start(pid, &job.instrumented);
         phase_trace::event_sim("process-start", arrival_ns as u64, u64::from(pid.0));
@@ -960,6 +1071,8 @@ impl<H: PhaseHook + IntervalHook> EngineCore<H> {
                 self.clock_ns as u64,
                 (u64::from(pid.0) << 32) | (observation.seq & 0xffff_ffff),
             );
+            // The sample may change the hook's state for this process.
+            self.settled[index].clear();
             let Some(mask) = self.hook.on_sample_interval(&observation) else {
                 continue;
             };
@@ -1108,31 +1221,72 @@ enum BlockRun {
     Budget,
     /// The process exited.
     Finished,
-    /// The executed block has a marked outgoing edge; `next` is where control
-    /// flows (the dense cursor still points at the executed block so the
-    /// caller can resolve the edge).
-    MarkedEdge { next: u32 },
+    /// The process crossed a marked edge whose mark is not settled; `mark`
+    /// indexes `InstrumentedProgram::marks`, and the dense cursor already
+    /// points at the edge's target.
+    MarkedEdge { mark: u32 },
+}
+
+/// What the block loop needs to resolve one process's settled marks inline.
+struct InlineMarks<'a> {
+    /// The process's settled-mark filters by phase type; empty while
+    /// monitoring is armed.
+    filters: &'a [Option<MarkFilter>],
+    /// The process's affinity. An inline mark never changes it, and every
+    /// other mark leaves the block loop.
+    affinity: AffinityMask,
+    /// The high half of a `phase-transition` trace value: `pid << 32`.
+    trace_pid: u64,
+    /// The dispatch's start, `clock_ns + consumed`: a mark at dispatch time
+    /// `elapsed` happens at `start_ns + elapsed`.
+    start_ns: f64,
+    /// A decision mark's `(instructions, cycles, nanos)`, when marks are
+    /// charged.
+    charge: Option<(u64, f64, f64)>,
+}
+
+impl InlineMarks<'_> {
+    /// Whether a mark of `phase_type` on `core` resolves inline: its type's
+    /// filter passes for this core and affinity.
+    #[inline]
+    fn resolves(&self, phase_type: PhaseType, core: CoreId) -> bool {
+        self.filters
+            .get(phase_type.index())
+            .copied()
+            .flatten()
+            .is_some_and(|filter| filter.passes(core, self.affinity))
+    }
 }
 
 /// The event engine's inner block loop.
 ///
 /// Every per-block accumulator lives in a local [`RunLocals`] for the whole
 /// call: the process's counters as a [`BlockTally`], `elapsed`,
-/// `committed` and the block count, next to the dense cursor. They are
-/// written back once, when the call returns. Jumps and counted branches are
-/// stepped inline; calls, returns, probabilistic branches and exit go
+/// `committed` and the block and mark counts, next to the dense cursor. They
+/// are written back once, when the call returns. Jumps and counted branches
+/// are stepped inline; calls, returns, probabilistic branches and exit go
 /// through [`Interpreter::step_dense`].
 ///
-/// When a counted latch branches back and every block of its loop body
-/// ([`DenseProgram::loop_body`]) is cost-filled and unmarked, the rest of
-/// the loop runs in [`replay_loop`] from a local copy of the body's records.
+/// A marked edge whose mark is settled ([`InlineMarks::resolves`]) is
+/// resolved here, without the hook: [`RunLocals::settle_mark`] does
+/// `execute_mark`'s work in `execute_mark`'s order, and the loop goes on.
+/// Every other mark returns [`BlockRun::MarkedEdge`] to the dispatch loop.
+///
+/// When a counted latch branches back, every block of its loop body
+/// ([`DenseProgram::loop_body`]) is cost-filled and every mark inside the
+/// loop is settled ([`HotSlab::replayable_body`]), the rest of the loop runs
+/// in [`replay_loop`] from a local copy of the body's records.
+///
+/// `MARKED` is whether the slab has marks at all ([`HotSlab::is_marked`]).
+/// Without it, the loop compiles without the mark path, which would
+/// otherwise hold registers that an unmarked run needs.
 ///
 /// Bit-identical to the reference loop in `run_core_quantum`: each
 /// accumulator sees the same additions in the same order, with the same RNG
 /// draws and the same lazily memoised costs, and the budget is tested before
 /// every block.
 #[allow(clippy::too_many_arguments)]
-fn run_blocks_fast(
+fn run_blocks_fast<const MARKED: bool>(
     slab: &mut HotSlab,
     interp: &mut Interpreter,
     hot: &mut HotCounters,
@@ -1143,6 +1297,7 @@ fn run_blocks_fast(
     sharing: SharingContext,
     kind_index: usize,
     sampling: bool,
+    inline: &InlineMarks<'_>,
     budget: f64,
     elapsed: &mut f64,
     cur: &mut u32,
@@ -1153,6 +1308,8 @@ fn run_blocks_fast(
         elapsed: *elapsed,
         committed: *committed,
         blocks: 0,
+        marks: 0,
+        phase: hot.section_phase,
         sampling,
     };
     let mut at = *cur;
@@ -1181,9 +1338,22 @@ fn run_blocks_fast(
                 } => {
                     if !interp.take_counted(at, trip) {
                         fallthrough
-                    } else if let Some(body) = slab.replayable_body(dp, at) {
+                    } else if let Some((body, marked)) =
+                        slab.replayable_body::<MARKED>(dp, at, inline, core)
+                    {
                         let counter = interp.loop_counter_mut(at);
-                        match replay_loop(body, &slab.records, counter, trip, budget, &mut run) {
+                        let records = &slab.records;
+                        let stop = if marked {
+                            let marks = slab.body_marks(body);
+                            replay_loop::<true>(
+                                body, &marks, records, counter, trip, budget, &mut run, inline,
+                            )
+                        } else {
+                            replay_loop::<false>(
+                                body, &NO_MARKS, records, counter, trip, budget, &mut run, inline,
+                            )
+                        };
+                        match stop {
                             None => fallthrough,
                             Some(resume) => {
                                 at = resume;
@@ -1199,14 +1369,22 @@ fn run_blocks_fast(
                     None => break 'run BlockRun::Finished,
                 },
             };
-            if rec.flags & HAS_MARK != 0 {
-                break 'run BlockRun::MarkedEdge { next };
+            if MARKED && rec.flags & HAS_MARK != 0 {
+                if let Some(edge) = slab.edge(at, next) {
+                    if !inline.resolves(edge.phase_type, core) {
+                        at = next;
+                        break 'run BlockRun::MarkedEdge { mark: edge.mark };
+                    }
+                    run.settle_mark(edge.phase_type, inline);
+                }
             }
             at = next;
         }
         BlockRun::Budget
     };
     hot.store_tally(&run.tally, kind_index);
+    hot.stats.marks_executed += run.marks;
+    hot.section_phase = run.phase;
     interp.add_blocks_executed(run.blocks);
     *elapsed = run.elapsed;
     *cur = at;
@@ -1220,6 +1398,10 @@ struct RunLocals {
     elapsed: f64,
     committed: u64,
     blocks: u64,
+    /// Marks resolved inline.
+    marks: u64,
+    /// The phase type of the current section.
+    phase: Option<PhaseType>,
     /// Whether interval sampling counts memory accesses.
     sampling: bool,
 }
@@ -1236,25 +1418,66 @@ impl RunLocals {
         self.elapsed += rec.nanos;
         self.blocks += 1;
     }
+
+    /// Resolves a settled mark of `phase_type` inline, doing
+    /// `execute_mark`'s work in its order: roll the section, set its phase
+    /// type, count the mark, emit the same `phase-transition` event at the
+    /// same time, and charge the decision mark. The mark is not a block.
+    #[inline(always)]
+    fn settle_mark(&mut self, phase_type: PhaseType, inline: &InlineMarks<'_>) {
+        self.tally.roll_section();
+        self.phase = Some(phase_type);
+        self.marks += 1;
+        if phase_trace::enabled() {
+            trace_transition(
+                inline.start_ns + self.elapsed,
+                inline.trace_pid | u64::from(phase_type.0),
+            );
+        }
+        if let Some((instructions, cycles, nanos)) = inline.charge {
+            self.tally.charge(instructions, cycles, nanos);
+            self.committed += instructions;
+            self.elapsed += nanos;
+        }
+    }
 }
+
+/// Records an inline mark's `phase-transition` event, as `execute_mark`
+/// records a mark the hook saw. Out of line and cold, so that the block
+/// loop's registers never make room for the call.
+#[cold]
+#[inline(never)]
+fn trace_transition(now_ns: f64, value: u64) {
+    phase_trace::event_sim("phase-transition", now_ns as u64, value);
+}
+
+/// The marks of a loop body none of whose in-loop edges is marked.
+const NO_MARKS: [Option<PhaseType>; MAX_LOOP_BODY] = [None; MAX_LOOP_BODY];
 
 /// Runs the rest of a counted loop whose latch has just branched back, from
 /// a local copy of its body's records.
 ///
 /// `body` is the latch's [`DenseProgram::loop_body`] (its last block is the
-/// latch) and `counter` the latch's trip counter. Each pass charges the body
-/// block by block, testing the budget before every block, then steps the
-/// latch. Returns `None` once the latch falls through (its counter reset),
-/// or `Some(block)` when the budget stops the run before `block`, with the
-/// counter left where the block loop would have left it.
+/// latch) and `counter` the latch's trip counter. Each pass goes through the
+/// body block by block: when `MARKED`, it first resolves the settled mark
+/// crossed on the way into the block, if any (`marks`, from
+/// [`HotSlab::body_marks`]); then it tests the budget and charges the block.
+/// After the last block it steps the latch. This is the block loop's order:
+/// a mark follows the block it leaves, and the budget test precedes the
+/// block it enters. Returns `None` once the latch falls through (its counter
+/// reset), or `Some(block)` when the budget stops the run before `block`,
+/// with the counter left where the block loop would have left it.
 #[inline(always)]
-fn replay_loop(
+#[allow(clippy::too_many_arguments)]
+fn replay_loop<const MARKED: bool>(
     body: &[u32],
+    marks: &[Option<PhaseType>; MAX_LOOP_BODY],
     records: &[BlockRecord],
     counter: &mut u32,
     trip: u32,
     budget: f64,
     run: &mut RunLocals,
+    inline: &InlineMarks<'_>,
 ) -> Option<u32> {
     let mut copies = [BlockRecord::default(); MAX_LOOP_BODY];
     for (copy, &block) in copies.iter_mut().zip(body) {
@@ -1263,7 +1486,12 @@ fn replay_loop(
     let copies = &copies[..body.len()];
     let mut trips = *counter;
     let stop = 'passes: loop {
-        for (rec, &block) in copies.iter().zip(body) {
+        for ((rec, &block), mark) in copies.iter().zip(body).zip(marks) {
+            if MARKED {
+                if let Some(phase_type) = *mark {
+                    run.settle_mark(phase_type, inline);
+                }
+            }
             if run.elapsed < budget {
                 run.charge(rec);
             } else {

@@ -1,8 +1,11 @@
 //! Unit tests of the engine's private slab and loop-body tables, and of the
-//! event engine's loop replay against the round engine.
+//! event engine's loop replay and settled marks against the round engine.
+
+use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 use super::*;
-use crate::hooks::NullHook;
+use crate::hooks::{AllCoresHook, MarkResponse, NullHook};
 use crate::sim::{EngineKind, JobSpec, Simulation};
 use phase_analysis::PhaseType;
 use phase_ir::{
@@ -79,10 +82,13 @@ fn slab_edge_table_resolves_every_edge_like_the_edge_map() {
             let expected = instrumented
                 .mark_on_edge(dp.location(from), dp.location(to))
                 .copied();
-            let actual = slab
-                .edge_mark(from, to)
-                .map(|index| instrumented.marks()[index]);
+            let edge = slab.edge(from, to);
+            let actual = edge.map(|edge| instrumented.marks()[edge.mark as usize]);
             assert_eq!(actual, expected, "edge {from} -> {to}");
+            assert_eq!(
+                edge.map(|edge| edge.phase_type),
+                expected.map(|m| m.phase_type)
+            );
             any |= expected.is_some();
             resolved += usize::from(expected.is_some());
         }
@@ -93,8 +99,11 @@ fn slab_edge_table_resolves_every_edge_like_the_edge_map() {
         );
     }
     assert_eq!(resolved, 4, "four distinct valid edges carry marks");
-    let winner = slab.edge_mark(0, 1).unwrap();
-    assert_eq!(instrumented.marks()[winner].phase_type, PhaseType(2));
+    let winner = slab.edge(0, 1).unwrap();
+    assert_eq!(
+        instrumented.marks()[winner.mark as usize].phase_type,
+        PhaseType(2)
+    );
 }
 
 /// `program` with no phase marks.
@@ -148,7 +157,7 @@ fn loop_body_table_lists_the_innermost_jump_body_and_a_self_loop() {
 }
 
 #[test]
-fn no_loop_body_holds_a_mark_a_call_a_probabilistic_branch_or_17_jumps() {
+fn no_loop_body_holds_an_unsettled_mark_a_call_a_probabilistic_branch_or_17_jumps() {
     let mut builder = ProgramBuilder::new("guards");
     let main = builder.declare_procedure("main");
     let helper = builder.declare_procedure("helper");
@@ -213,30 +222,74 @@ fn no_loop_body_holds_a_mark_a_call_a_probabilistic_branch_or_17_jumps() {
     assert_eq!(dp.loop_body(sixteen_latch).len(), MAX_LOOP_BODY);
     assert!(dp.loop_body(seventeen[17].index() as u32).is_empty());
 
-    // A mark on 5 -> 6 keeps that body from replay; the unmarked twin
-    // replays once its costs are filled.
+    // A mark on 5 -> 6 keeps that body from replay until its type is
+    // settled; a mark on 8's exit edge never does. The twin replays once its
+    // costs are filled.
     let at = |block: BlockId| Location::new(main, block);
-    let marks = vec![PhaseMark {
+    let mark = |from: BlockId, to: BlockId, phase: u32| PhaseMark {
         id: MarkId(0),
-        from: at(b[5]),
-        to: at(b[6]),
-        phase_type: PhaseType(0),
+        from: at(from),
+        to: at(to),
+        phase_type: PhaseType(phase),
         previous_type: None,
         size_bytes: 78,
-    }];
+    };
+    let marks = vec![mark(b[5], b[6], 0), mark(b[8], b[9], 1)];
     let instrumented =
         InstrumentedProgram::from_parts(program, MarkingConfig::basic_block(15, 0), marks, None);
     let mut slab = HotSlab::new(&instrumented);
-    assert_eq!(slab.replayable_body(&dp, 8), None, "costs not filled yet");
+    let core = CoreId(0);
+    let unsettled = inline_marks(&[]);
+    assert_eq!(
+        slab.replayable_body::<true>(&dp, 8, &unsettled, core),
+        None,
+        "costs not filled yet"
+    );
     fill_costs(&mut slab);
     assert_eq!(
-        slab.replayable_body(&dp, 6),
+        slab.replayable_body::<true>(&dp, 6, &unsettled, core),
         None,
-        "body holds a marked block"
+        "body holds an unsettled mark"
     );
-    assert_eq!(slab.replayable_body(&dp, 8), Some(&[7, 8][..]));
+    let settled = [Some(MarkFilter::default())];
+    assert_eq!(
+        slab.replayable_body::<true>(&dp, 6, &inline_marks(&settled), core),
+        Some((&[5, 6][..], true)),
+        "a settled mark replays"
+    );
+    let elsewhere = [Some(MarkFilter {
+        cores: Some(AffinityMask::single(CoreId(1))),
+        affinity: None,
+    })];
+    assert_eq!(
+        slab.replayable_body::<true>(&dp, 6, &inline_marks(&elsewhere), core),
+        None,
+        "a mark settled only on another core"
+    );
+    let mut body_marks = [None; MAX_LOOP_BODY];
+    body_marks[1] = Some(PhaseType(0));
+    assert_eq!(slab.body_marks(&[5, 6]), body_marks, "the mark into 6");
+    assert_eq!(
+        slab.replayable_body::<true>(&dp, 8, &unsettled, core),
+        Some((&[7, 8][..], false))
+    );
     for latch in [2, 4] {
-        assert_eq!(slab.replayable_body(&dp, latch), None);
+        assert_eq!(
+            slab.replayable_body::<true>(&dp, latch, &unsettled, core),
+            None
+        );
+    }
+}
+
+/// Settled-mark context for a process holding every core of a one-core
+/// machine, with the given filters.
+fn inline_marks(filters: &[Option<MarkFilter>]) -> InlineMarks<'_> {
+    InlineMarks {
+        filters,
+        affinity: AffinityMask::single(CoreId(0)),
+        trace_pid: 0,
+        start_ns: 0.0,
+        charge: None,
     }
 }
 
@@ -295,20 +348,45 @@ fn one_core() -> MachineSpec {
     MachineSpec::symmetric(1, 2.4)
 }
 
-/// A two-job queue of [`jump_loop`] on one core whose first dispatch gets
+/// [`jump_loop`] with marks on four edges, so that its loop body crosses
+/// two phase types: entry -> b0 (type 0), b0 -> b1 (type 1), the latch's
+/// taken edge back to b0 (type 0) and its exit edge (type 1).
+fn two_phase(program: &Arc<Program>) -> Arc<InstrumentedProgram> {
+    let at = |block: u32| Location::new(program.entry(), BlockId(block));
+    let marks = [(0, 1, 0), (1, 2, 1), (3, 1, 0), (3, 4, 1)]
+        .into_iter()
+        .map(|(from, to, phase)| PhaseMark {
+            id: MarkId(from),
+            from: at(from),
+            to: at(to),
+            phase_type: PhaseType(phase),
+            previous_type: None,
+            size_bytes: 78,
+        })
+        .collect();
+    let config = MarkingConfig::basic_block(15, 0);
+    Arc::new(InstrumentedProgram::from_parts(
+        Arc::clone(program),
+        config,
+        marks,
+        None,
+    ))
+}
+
+/// A two-job queue of `program` on one core whose first dispatch gets
 /// exactly `budget`: the timeslice is the power of two in `[budget, 2 *
 /// budget)` and the first job is released `timeslice - budget` into round
 /// zero. Both subtractions are exact (Sterbenz), and a power-of-two
 /// timeslice keeps the event engine's round arithmetic exact.
 fn first_budget_of(
-    program: &Arc<Program>,
+    program: &Arc<InstrumentedProgram>,
     budget: f64,
     engine: EngineKind,
 ) -> (Vec<Vec<JobSpec>>, SimConfig) {
     let timeslice_ns = 2f64.powi(budget.log2().ceil() as i32);
     let release = timeslice_ns - budget;
     assert_eq!(timeslice_ns - release, budget, "the first budget is exact");
-    let job = JobSpec::new("loop", unmarked(program));
+    let job = JobSpec::new("loop", Arc::clone(program));
     let slots = vec![vec![job.clone().released_at(release), job]];
     let config = SimConfig {
         timeslice_ns,
@@ -321,7 +399,11 @@ fn first_budget_of(
 /// Runs round zero of [`first_budget_of`] under `engine`; returns where the
 /// first process stopped: its block, its latch's trip counter and its block
 /// count.
-fn first_quantum(program: &Arc<Program>, budget: f64, engine: EngineKind) -> (u32, u32, u64) {
+fn first_quantum(
+    program: &Arc<InstrumentedProgram>,
+    budget: f64,
+    engine: EngineKind,
+) -> (u32, u32, u64) {
     let (slots, config) = first_budget_of(program, budget, engine);
     let mut core = EngineCore::new("first", one_core(), slots, NullHook, config);
     match engine {
@@ -338,7 +420,7 @@ fn first_quantum(program: &Arc<Program>, budget: f64, engine: EngineKind) -> (u3
 
 /// Both engines run [`first_budget_of`] to completion; the whole results
 /// must be equal.
-fn assert_engines_agree(program: &Arc<Program>, budget: f64) {
+fn assert_engines_agree(program: &Arc<InstrumentedProgram>, budget: f64) {
     let run = |engine| {
         let (slots, config) = first_budget_of(program, budget, engine);
         Simulation::new("replay", one_core(), slots, NullHook, config).run()
@@ -351,8 +433,9 @@ fn assert_engines_agree(program: &Arc<Program>, budget: f64) {
 
 #[test]
 fn a_budget_ending_inside_a_replayed_iteration_matches_the_round_engine() {
-    let program = jump_loop(40);
-    let elapsed = elapsed_after_blocks(&program, &one_core(), 11);
+    let loop_program = jump_loop(40);
+    let program = unmarked(&loop_program);
+    let elapsed = elapsed_after_blocks(&loop_program, &one_core(), 11);
     // Entry and three passes (the first block by block, two replayed) end
     // at elapsed[9]; the budget then admits b0 of the fourth pass only.
     let budget = (elapsed[9] + elapsed[10]) / 2.0;
@@ -369,8 +452,9 @@ fn a_budget_ending_inside_a_replayed_iteration_matches_the_round_engine() {
 
 #[test]
 fn a_budget_ending_on_an_iteration_boundary_matches_the_round_engine() {
-    let program = jump_loop(40);
-    let elapsed = elapsed_after_blocks(&program, &one_core(), 10);
+    let loop_program = jump_loop(40);
+    let program = unmarked(&loop_program);
+    let elapsed = elapsed_after_blocks(&loop_program, &one_core(), 10);
     // The budget runs out exactly as the third pass's latch branches back.
     let budget = elapsed[9];
     for engine in [EngineKind::RoundBased, EngineKind::EventDriven] {
@@ -419,4 +503,112 @@ fn both_engines_finish_the_queue_at_timeslices_with_inexact_multiples() {
         };
         assert_eq!(work(&round), work(&event), "{timeslice_ns} ns");
     }
+}
+
+#[test]
+fn budgets_ending_anywhere_in_a_marked_replay_match_the_round_engine() {
+    // Under the null hook every mark is settled once the hook has seen its
+    // type, so from the second pass on the two-phase loop replays with its
+    // marks resolved inline. The budgets end on every block and mark
+    // boundary of the first dozen passes, and halfway between each pair.
+    let loop_program = jump_loop(40);
+    let program = two_phase(&loop_program);
+    let block_ns = |block: u32| {
+        let cost = CostModel::new(one_core());
+        let block = loop_program
+            .block(Location::new(loop_program.entry(), BlockId(block)))
+            .unwrap();
+        cost.block_cost(CoreId(0), block, SharingContext::shared_by(1))
+            .nanos
+    };
+    let mark_ns = MARK_DECISION_INSTRUCTIONS as f64 / one_core().core(CoreId(0)).freq_ghz;
+    // Entry, the mark into b0, then per pass: b0, the mark into b1, b1, the
+    // latch, and the latch's mark back into b0.
+    let mut steps = vec![block_ns(0), mark_ns];
+    for _ in 0..12 {
+        steps.extend([block_ns(1), mark_ns, block_ns(2), block_ns(3), mark_ns]);
+    }
+    let mut elapsed = 0.0;
+    let boundaries: Vec<f64> = steps
+        .iter()
+        .map(|step| {
+            elapsed += step;
+            elapsed
+        })
+        .collect();
+    for pair in boundaries.windows(2) {
+        for budget in [pair[0], (pair[0] + pair[1]) / 2.0] {
+            let stops: Vec<_> = [EngineKind::RoundBased, EngineKind::EventDriven]
+                .into_iter()
+                .map(|engine| first_quantum(&program, budget, engine))
+                .collect();
+            assert_eq!(stops[0], stops[1], "first quantum of budget {budget}");
+            assert_engines_agree(&program, budget);
+        }
+    }
+}
+
+/// A hook that answers and settles like [`AllCoresHook`] and records the
+/// `(pid, phase type)` of every mark it is handed.
+struct CountingAllCores {
+    hook: AllCoresHook,
+    seen: Arc<Mutex<Vec<(Pid, PhaseType)>>>,
+}
+
+impl PhaseHook for CountingAllCores {
+    fn on_phase_mark(&mut self, ctx: &MarkContext<'_>) -> MarkResponse {
+        self.seen
+            .lock()
+            .unwrap()
+            .push((ctx.pid, ctx.mark.phase_type));
+        self.hook.on_phase_mark(ctx)
+    }
+
+    fn settled(&self, pid: Pid, phase_type: PhaseType) -> Option<MarkFilter> {
+        self.hook.settled(pid, phase_type)
+    }
+}
+
+impl IntervalHook for CountingAllCores {}
+
+#[test]
+fn the_event_engine_hands_the_hook_one_mark_per_process_and_phase_type() {
+    // Three processes of the two-phase loop on the quad-core AMP. The round
+    // engine hands the hook every mark; the event engine only each
+    // process's first mark of each type, and resolves the rest inline,
+    // stepped or replayed, with the same result.
+    let program = two_phase(&jump_loop(400));
+    let machine = MachineSpec::core2_quad_amp();
+    let job = |name: &str| JobSpec::new(name, Arc::clone(&program));
+    let slots = vec![vec![job("a"), job("b")], vec![job("c")]];
+    let run = |engine| {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let hook = CountingAllCores {
+            hook: AllCoresHook::new(AffinityMask::all_cores(&machine)),
+            seen: Arc::clone(&seen),
+        };
+        let config = SimConfig {
+            engine,
+            ..SimConfig::default()
+        };
+        let result = Simulation::new("counted", machine.clone(), slots.clone(), hook, config).run();
+        let seen = seen.lock().unwrap().clone();
+        (result, seen)
+    };
+    let (round, round_seen) = run(EngineKind::RoundBased);
+    let (event, event_seen) = run(EngineKind::EventDriven);
+    assert_eq!(round.completed_count(), 3);
+    assert!(
+        round.total_marks_executed > 2_000,
+        "the loop runs its marks"
+    );
+    assert_eq!(round_seen.len() as u64, round.total_marks_executed);
+    let distinct: BTreeSet<(Pid, PhaseType)> = round_seen.iter().copied().collect();
+    assert_eq!(distinct.len(), 6, "three processes, two phase types each");
+    assert_eq!(event_seen.len(), distinct.len(), "{event_seen:?}");
+    assert_eq!(
+        event_seen.iter().copied().collect::<BTreeSet<_>>(),
+        distinct
+    );
+    assert_eq!(round, event);
 }

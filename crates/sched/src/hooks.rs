@@ -11,6 +11,16 @@
 //! invokes a hook; the phase-based tuner in `phase-runtime` implements
 //! Algorithm 2 behind this trait.
 //!
+//! Once a phase type's core kind is decided, its marks "reduce to simply
+//! making appropriate core switching decisions" (Section II), and most of them
+//! change nothing at all. [`PhaseHook::settled`] lets a hook say so: for a
+//! process and a phase type it may answer a [`MarkFilter`], the situations in
+//! which a later mark of that type is a pure no-op. The event engine then
+//! resolves such marks inside its block loop, with the same counters, trace
+//! event and mark charge, and without calling the hook. The round engine
+//! never asks and calls the hook at every mark, which keeps it the exact
+//! reference the event engine is checked against.
+//!
 //! Independently of marks, the engines can deliver a periodic hardware-counter
 //! sample stream: when [`crate::SimConfig::sample_interval_ns`] is set, every
 //! elapsed interval produces one [`IntervalObservation`] per process that
@@ -101,6 +111,32 @@ impl MarkResponse {
     }
 }
 
+/// When a later mark of one phase type is a pure no-op for one process: the
+/// hook's answer would arm no monitoring and apply no affinity change, and the
+/// call would change no hook state and no statistic.
+///
+/// A mark is a no-op when the process runs on a core in `cores` (any core when
+/// `None`) and, when `affinity` is set, holds exactly that affinity. The
+/// default filter, both fields `None`, makes every such mark a no-op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MarkFilter {
+    /// The cores on which the mark changes nothing; any core when `None`.
+    pub cores: Option<AffinityMask>,
+    /// The affinity the process must hold for the mark to change nothing;
+    /// any affinity when `None`.
+    pub affinity: Option<AffinityMask>,
+}
+
+impl MarkFilter {
+    /// Whether a mark by a process holding `affinity`, running on `core`, is
+    /// a no-op under this filter.
+    #[inline]
+    pub fn passes(&self, core: CoreId, affinity: AffinityMask) -> bool {
+        self.cores.is_none_or(|cores| cores.allows(core))
+            && self.affinity.is_none_or(|held| held == affinity)
+    }
+}
+
 /// What the hardware counters recorded for one process over one elapsed
 /// sampling interval ([`crate::SimConfig::sample_interval_ns`]).
 ///
@@ -175,6 +211,27 @@ pub trait PhaseHook: Send {
     /// Called whenever a process crosses a marked edge.
     fn on_phase_mark(&mut self, ctx: &MarkContext<'_>) -> MarkResponse;
 
+    /// Whether later marks of `phase_type` by `pid` are settled: `Some`
+    /// names when such a mark is a pure no-op ([`MarkFilter`]), and the event
+    /// engine then resolves it without calling
+    /// [`on_phase_mark`](Self::on_phase_mark).
+    ///
+    /// The contract, which the round engine (calling the hook at every mark)
+    /// checks through the engines' exact equivalence:
+    ///
+    /// * answer `Some` only while the process's hook state is quiet, so that
+    ///   no mark of a settled type can change it;
+    /// * every filter answered since the last `None` for a process stays
+    ///   valid for as long as the answers for it are `Some`.
+    ///
+    /// The event engine asks after each mark it hands the hook, and forgets
+    /// a process's filters whenever the answer is `None` and whenever it
+    /// calls [`IntervalHook::on_sample_interval`] for the process. The
+    /// default, `None`, hands the hook every mark.
+    fn settled(&self, _pid: Pid, _phase_type: PhaseType) -> Option<MarkFilter> {
+        None
+    }
+
     /// Called when a process exits (its per-process state can be dropped).
     fn on_process_exit(&mut self, _pid: Pid) {}
 }
@@ -188,6 +245,11 @@ pub struct NullHook;
 impl PhaseHook for NullHook {
     fn on_phase_mark(&mut self, _ctx: &MarkContext<'_>) -> MarkResponse {
         MarkResponse::none()
+    }
+
+    /// Every mark of every type is a no-op.
+    fn settled(&self, _pid: Pid, _phase_type: PhaseType) -> Option<MarkFilter> {
+        Some(MarkFilter::default())
     }
 }
 
@@ -212,6 +274,14 @@ impl AllCoresHook {
 impl PhaseHook for AllCoresHook {
     fn on_phase_mark(&mut self, _ctx: &MarkContext<'_>) -> MarkResponse {
         MarkResponse::switch_to(self.mask)
+    }
+
+    /// A mark changes nothing once the process holds the hook's mask.
+    fn settled(&self, _pid: Pid, _phase_type: PhaseType) -> Option<MarkFilter> {
+        Some(MarkFilter {
+            cores: None,
+            affinity: Some(self.mask),
+        })
     }
 }
 

@@ -206,7 +206,11 @@ impl Interpreter {
     /// `current_location` untouched; callers own the dense cursor and must
     /// [`sync_location`](Self::sync_location) before anything reads the
     /// location again.
-    #[inline]
+    ///
+    /// Always inlined: called out of line, it takes its terminator through
+    /// memory, and the block loop then keeps that copy on the stack for
+    /// every block it steps.
+    #[inline(always)]
     pub(crate) fn step_dense(
         &mut self,
         dp: &crate::engine::dense::DenseProgram,

@@ -17,8 +17,8 @@
 //! * [`ProcessStats`] / [`ProcessState`] — per-process accounting and
 //!   run-state (the processes themselves live in a struct-of-arrays table
 //!   owned by the engine);
-//! * [`PhaseHook`] / [`MarkContext`] / [`MarkResponse`] — the phase-mark
-//!   runtime interface implemented by `phase-runtime`;
+//! * [`PhaseHook`] / [`MarkContext`] / [`MarkResponse`] / [`MarkFilter`] —
+//!   the phase-mark runtime interface implemented by `phase-runtime`;
 //! * [`Simulation`] — the machine + scheduler simulation producing
 //!   [`SimResult`]s with per-process records and throughput windows, run by
 //!   either the reference round-based engine or the default event-driven
@@ -39,8 +39,8 @@ mod sim;
 
 pub use engine::{BucketQueue, Event, EventKind};
 pub use hooks::{
-    AllCoresHook, IntervalHook, IntervalObservation, MarkContext, MarkResponse, NullHook,
-    PhaseHook, SectionObservation,
+    AllCoresHook, IntervalHook, IntervalObservation, MarkContext, MarkFilter, MarkResponse,
+    NullHook, PhaseHook, SectionObservation,
 };
 pub use interp::{Interpreter, Step};
 pub use process::{IntervalCounters, Pid, ProcessState, ProcessStats};

@@ -99,6 +99,9 @@ pub struct IntervalCounters {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct HotCounters {
     pub(crate) stats: ProcessStats,
+    /// The phase type of the section currently executing, when known. The
+    /// event engine's block loop sets it when it resolves a mark inline.
+    pub(crate) section_phase: Option<PhaseType>,
     /// Instructions/cycles accumulated since the last phase mark.
     pub(crate) section_instructions: u64,
     pub(crate) section_cycles: f64,
@@ -224,6 +227,14 @@ impl BlockTally {
     pub(crate) fn note_mem_accesses(&mut self, accesses: u64) {
         self.interval_mem_accesses += accesses;
     }
+
+    /// Starts a new phase section, as [`ProcessTable::roll_section`] does
+    /// for the in-memory counters.
+    #[inline(always)]
+    pub(crate) fn roll_section(&mut self) {
+        self.section_instructions = 0;
+        self.section_cycles = 0.0;
+    }
 }
 
 /// Struct-of-arrays storage for every process in a simulation.
@@ -248,8 +259,6 @@ pub(crate) struct ProcessTable {
     /// the process was queued (interval-driven core switches).
     eligible_ns: Vec<f64>,
     completion_ns: Vec<Option<f64>>,
-    /// The phase type of the section currently executing, when known.
-    current_phase: Vec<Option<PhaseType>>,
     /// Whether the tuner armed monitoring for the current section.
     monitoring: Vec<bool>,
     /// Number of interval observations emitted per process so far.
@@ -274,12 +283,14 @@ impl ProcessTable {
     ) -> Pid {
         let pid = Pid(self.len() as u32);
         let interp = Interpreter::new(Arc::clone(instrumented.program()), seed);
-        self.current_phase.push(instrumented.entry_type());
+        self.hot.push(HotCounters {
+            section_phase: instrumented.entry_type(),
+            ..HotCounters::default()
+        });
         self.names.push(name.into());
         self.slots.push(slot);
         self.instrumented.push(instrumented);
         self.interps.push(interp);
-        self.hot.push(HotCounters::default());
         self.affinity.push(affinity);
         self.state.push(ProcessState::Ready);
         self.current_core.push(None);
@@ -388,11 +399,10 @@ impl ProcessTable {
     /// The phase type of a process's currently executing section, when known.
     #[cfg(test)]
     pub(crate) fn current_phase(&self, index: usize) -> Option<PhaseType> {
-        self.current_phase[index]
+        self.hot[index].section_phase
     }
 
     /// Whether monitoring is armed for a process's current section.
-    #[cfg(test)]
     pub(crate) fn is_monitoring(&self, index: usize) -> bool {
         self.monitoring[index]
     }
@@ -458,11 +468,11 @@ impl ProcessTable {
         let finished = (
             hot.section_instructions,
             hot.section_cycles,
-            self.current_phase[index],
+            hot.section_phase,
         );
         hot.section_instructions = 0;
         hot.section_cycles = 0.0;
-        self.current_phase[index] = Some(new_phase);
+        hot.section_phase = Some(new_phase);
         self.monitoring[index] = false;
         finished
     }

@@ -1,7 +1,7 @@
 //! Golden-equivalence tests: the event-driven engine must reproduce the
 //! round-based reference engine's results on real workloads.
 //!
-//! Seven seeded workloads cover the interesting regimes — the paper's dense
+//! Seeded workloads cover the interesting regimes — the paper's dense
 //! Table 1 catalogue (at `Loop[45]`, and again under dense `BB[15,0]`
 //! basic-block marks, tuned and all-cores), the mixed CPU/memory scenario
 //! family (heavy phase-transition traffic), a bursty-arrival workload (the
@@ -13,9 +13,21 @@
 //! must be equal, labels aside, every `f64` compared with `==`: both engines
 //! drive the same scheduling primitives with the same floating-point
 //! additions in the same order.
+//!
+//! The `BB[15,0]` tuned cells also check the settled-mark contract
+//! (`PhaseHook::settled`): the event engine resolves a settled mark inside
+//! its block loop without calling the tuner, while the round engine calls it
+//! at every mark. One cell per branch of the tuner's filter: δ = 0, 0.15 and
+//! 0.5 (heavy sampling, mixed, decided), fast-preferring phases pinned, the
+//! three-core machine, a symmetric machine (where a decided mask is the
+//! whole machine), and the drifting study's queue shape cut mid-run with
+//! interval sampling on.
 
 use std::sync::Arc;
 
+use phase_tuning::substrate::amp::MachineSpec;
+use phase_tuning::substrate::marking::MarkingConfig;
+use phase_tuning::substrate::runtime::TunerConfig;
 use phase_tuning::substrate::sched::{EngineKind, JobSpec, SimConfig, SimResult};
 use phase_tuning::substrate::workload::{Catalog, Workload};
 use phase_tuning::{
@@ -33,12 +45,23 @@ fn run_engine_until(
     engine: EngineKind,
     horizon_ns: f64,
 ) -> Arc<SimResult> {
-    let machine = phase_tuning::substrate::amp::MachineSpec::core2_quad_amp();
     let sim = SimConfig {
         horizon_ns: Some(horizon_ns),
         engine,
         ..SimConfig::default()
     };
+    run_cell(machine(), slots, policy, sim)
+}
+
+/// Runs one cell of `slots` on `machine` under `policy` and `sim` (whose
+/// engine picks the engine).
+fn run_cell(
+    machine: MachineSpec,
+    slots: Vec<Vec<JobSpec>>,
+    policy: Policy,
+    sim: SimConfig,
+) -> Arc<SimResult> {
+    let engine = sim.engine;
     let mut plan = ExperimentPlan::new();
     plan.push(CellSpec {
         group: "golden".into(),
@@ -65,8 +88,137 @@ fn assert_equivalent(round: &SimResult, event: &SimResult) {
     assert_eq!(*round, event, "round-based vs event-driven");
 }
 
-fn machine() -> phase_tuning::substrate::amp::MachineSpec {
-    phase_tuning::substrate::amp::MachineSpec::core2_quad_amp()
+fn machine() -> MachineSpec {
+    MachineSpec::core2_quad_amp()
+}
+
+/// The standard catalogue's `BB[15,0]`-marked binaries on `machine`, queued
+/// by `workload`.
+fn basic_block_slots(
+    machine: &MachineSpec,
+    workload: impl Fn(&Catalog) -> Workload,
+) -> Vec<Vec<JobSpec>> {
+    let catalog = Catalog::standard(0.06, 1);
+    let marking = PipelineConfig::with_marking(MarkingConfig::basic_block(15, 0));
+    let programs = instrument_catalog(&catalog, machine, &marking);
+    build_slots(&workload(&catalog), &catalog, &programs)
+}
+
+/// Runs `slots` on `machine` under `tuner` with both engines, asserts that
+/// the results are equal and that at least 10 000 marks ran, and, when
+/// `switches`, that the tuner switched cores.
+fn assert_tuned_cell_agrees(
+    machine: MachineSpec,
+    slots: Vec<Vec<JobSpec>>,
+    tuner: TunerConfig,
+    sim: SimConfig,
+    switches: bool,
+) {
+    let policy = Policy::Tuned(tuner);
+    let run = |engine| {
+        run_cell(
+            machine.clone(),
+            slots.clone(),
+            policy,
+            SimConfig { engine, ..sim },
+        )
+    };
+    let round = run(EngineKind::RoundBased);
+    let event = run(EngineKind::EventDriven);
+    assert_equivalent(&round, &event);
+    assert!(
+        event.total_marks_executed >= 10_000,
+        "{tuner:?} executed only {} marks",
+        event.total_marks_executed
+    );
+    if switches {
+        assert!(event.total_core_switches > 0, "{tuner:?} never switched");
+    }
+}
+
+/// [`assert_tuned_cell_agrees`] on the dense-mark case's queue: 6 random
+/// slots of 2 jobs, cut at 6 ms.
+fn assert_basic_block_cell_agrees(machine: MachineSpec, tuner: TunerConfig, switches: bool) {
+    let slots = basic_block_slots(&machine, |catalog| Workload::random(catalog, 6, 2, 1));
+    let sim = SimConfig {
+        horizon_ns: Some(6_000_000.0),
+        ..SimConfig::default()
+    };
+    assert_tuned_cell_agrees(machine, slots, tuner, sim, switches);
+}
+
+/// The paper's Table 1 tuner at IPC threshold `delta`.
+fn tuner_at(delta: f64) -> TunerConfig {
+    TunerConfig {
+        ipc_threshold: delta,
+        ..TunerConfig::paper_table1()
+    }
+}
+
+#[test]
+fn engines_agree_on_basic_block_marks_under_heavy_sampling() {
+    assert_basic_block_cell_agrees(machine(), tuner_at(0.0), true);
+}
+
+#[test]
+fn engines_agree_on_basic_block_marks_at_a_mixed_threshold() {
+    assert_basic_block_cell_agrees(machine(), tuner_at(0.15), true);
+}
+
+#[test]
+fn engines_agree_on_basic_block_marks_once_decided() {
+    assert_basic_block_cell_agrees(machine(), tuner_at(0.5), true);
+}
+
+#[test]
+fn engines_agree_on_basic_block_marks_with_fast_phases_pinned() {
+    let tuner = TunerConfig {
+        pin_preferred_fast: true,
+        ..TunerConfig::paper_table1()
+    };
+    assert_basic_block_cell_agrees(machine(), tuner, true);
+}
+
+#[test]
+fn engines_agree_on_basic_block_marks_on_the_three_core_machine() {
+    let tuner = TunerConfig::paper_table1();
+    assert_basic_block_cell_agrees(MachineSpec::three_core_amp(), tuner, true);
+}
+
+#[test]
+fn engines_agree_on_basic_block_marks_on_a_symmetric_machine() {
+    // Binaries typed on the AMP (a symmetric machine gives every block one
+    // type, so nothing would be marked) run on four identical cores. With
+    // one core kind every decided mask is the whole machine, so the tuner's
+    // filter asks for both the core and the affinity. Nothing switches.
+    let tuner = TunerConfig {
+        pin_preferred_fast: true,
+        ..TunerConfig::paper_table1()
+    };
+    let slots = basic_block_slots(&machine(), |catalog| Workload::random(catalog, 6, 2, 1));
+    let sim = SimConfig {
+        horizon_ns: Some(6_000_000.0),
+        ..SimConfig::default()
+    };
+    let symmetric = MachineSpec::symmetric(4, 2.4);
+    assert_tuned_cell_agrees(symmetric, slots, tuner, sim, false);
+}
+
+#[test]
+fn engines_agree_on_basic_block_marks_in_the_drifting_queue_shape() {
+    // The drifting catalogue is unmarkable (its blocks are below the typing
+    // threshold), so this case runs the online study's drifting queue
+    // shape, 8 slots of 5 rotating jobs, over the standard catalogue's
+    // BB[15,0] binaries, cut mid-run so that quanta stop inside replayed
+    // marked loops. Interval sampling is on: every tick makes the event
+    // engine forget the sampled processes' settled marks.
+    let slots = basic_block_slots(&machine(), |catalog| Workload::drifting(catalog, 8, 5, 31));
+    let sim = SimConfig {
+        horizon_ns: Some(6_000_000.0),
+        sample_interval_ns: Some(250_000.0),
+        ..SimConfig::default()
+    };
+    assert_tuned_cell_agrees(machine(), slots, TunerConfig::paper_table1(), sim, true);
 }
 
 #[test]
@@ -75,7 +227,7 @@ fn engines_agree_on_the_standard_catalogue_workload() {
     let workload = Workload::random(&catalog, 6, 2, 1);
     let programs = instrument_catalog(&catalog, &machine(), &PipelineConfig::paper_best());
     let slots = build_slots(&workload, &catalog, &programs);
-    let policy = Policy::Tuned(phase_tuning::substrate::runtime::TunerConfig::paper_table1());
+    let policy = Policy::Tuned(TunerConfig::paper_table1());
     let round = run_engine(slots.clone(), policy, EngineKind::RoundBased);
     let event = run_engine(slots, policy, EngineKind::EventDriven);
     assert_equivalent(&round, &event);
@@ -84,7 +236,6 @@ fn engines_agree_on_the_standard_catalogue_workload() {
 
 #[test]
 fn engines_agree_under_dense_basic_block_marks() {
-    use phase_tuning::substrate::marking::MarkingConfig;
     // The other cases mark at Loop[45], where few marks execute. BB[15,0]
     // marks nearly every typed block boundary, so the event engine's dense
     // marked-edge table (and the tuner's decided-mark path) carry the run.
@@ -93,7 +244,7 @@ fn engines_agree_under_dense_basic_block_marks() {
     let marking = PipelineConfig::with_marking(MarkingConfig::basic_block(15, 0));
     let programs = instrument_catalog(&catalog, &machine(), &marking);
     let slots = build_slots(&workload, &catalog, &programs);
-    let tuned = Policy::Tuned(phase_tuning::substrate::runtime::TunerConfig::paper_table1());
+    let tuned = Policy::Tuned(TunerConfig::paper_table1());
     for policy in [tuned, Policy::AllCores] {
         let round = run_engine(slots.clone(), policy, EngineKind::RoundBased);
         let event = run_engine(slots.clone(), policy, EngineKind::EventDriven);
@@ -115,7 +266,7 @@ fn engines_agree_on_the_mixed_scenario_family() {
     let workload = Workload::random(&catalog, 5, 2, 2);
     let programs = instrument_catalog(&catalog, &machine(), &PipelineConfig::paper_best());
     let slots = build_slots(&workload, &catalog, &programs);
-    let policy = Policy::Tuned(phase_tuning::substrate::runtime::TunerConfig::paper_table1());
+    let policy = Policy::Tuned(TunerConfig::paper_table1());
     let round = run_engine(slots.clone(), policy, EngineKind::RoundBased);
     let event = run_engine(slots, policy, EngineKind::EventDriven);
     assert_equivalent(&round, &event);
