@@ -32,14 +32,15 @@
 //! one shared store and records the cold-versus-warm sweep wall-clock in
 //! `BENCH_study.json`.
 //!
-//! Four more binaries measure what is not a study:
+//! Two more binaries measure what is not a study:
 //!
 //! | measurement | binary |
 //! |---|---|
 //! | engine/driver/static-pipeline baseline (`BENCH_engine.json`) | `bench_engine` |
-//! | open-loop serving latency + coalescing storm (`BENCH_load.json`) | `bench_load` |
-//! | remote artifact cache + bounded-store budget run (`BENCH_store.json`) | `bench_store` |
 //! | tracing overhead, disabled and enabled (`BENCH_trace.json`) | `bench_trace` |
+//!
+//! Serving latency, the store's restart path and the paper regeneration are
+//! timed end to end by the repository benchmark, `perfbench`.
 //!
 //! Every binary accepts the flags [`init`] lists, each mirrored by a
 //! `PHASE_BENCH_*` environment variable that the flag overrides;
@@ -352,9 +353,8 @@ pub fn overhead_variants() -> Vec<MarkingConfig> {
 /// * `--out=PATH` — same as `PHASE_BENCH_OUT_DIR=PATH`: the directory
 ///   `BENCH_*.json` reports are written to (default: the current directory);
 /// * `--trace-out=PATH` — same as `PHASE_BENCH_TRACE_OUT=PATH`: enable
-///   tracing and dump the run's timeline as NDJSON. `run_studies`,
-///   `bench_trace` and `bench_load` honour it; `bench_engine` and
-///   `bench_store` exit 2 on it.
+///   tracing and dump the run's timeline as NDJSON. `run_studies` and
+///   `bench_trace` honour it; `bench_engine` exits 2 on it.
 ///
 /// An invalid value, from a flag or a variable, exits 2 with a message.
 pub fn init(artifact: &str, description: &str) -> BenchSettings {

@@ -8,16 +8,13 @@
 //!   it should dispatch again at the next round boundary;
 //! * [`EventKind::JobArrival`] — a queued job's release/arrival time falls in
 //!   a future round, so the cores sleep until that round instead of spinning;
-//! * [`EventKind::LoadBalance`] — the periodic pull-balancing tick.
+//! * [`EventKind::LoadBalance`] — the periodic pull-balancing tick;
+//! * [`EventKind::SampleInterval`] — the periodic counter-sampling tick, when
+//!   sampling is enabled.
 //!
-//! Events live in a [`BucketQueue`]: a calendar of per-round buckets covering
-//! the near future (every event the driver schedules lands a handful of
-//! rounds ahead), with a binary-heap fallback for far-future times. Pushes
-//! and pops are O(1) bucket operations in the common case instead of
-//! O(log n) heap sifts, and all events sharing a timestamp are drained into
-//! one reusable batch and applied in a single pass per iteration. The
-//! property tests hold the bucket queue to exactly the pop order of a plain
-//! binary heap over the same events.
+//! Events live in an [`EventQueue`], a binary min-heap a few events deep.
+//! All events sharing a timestamp are drained into one reusable batch and
+//! applied in a single pass per iteration.
 //!
 //! Time jumps from event to event, so rounds in which no core could act
 //! (bursty arrival gaps, horizon tails with future-only work) cost nothing.
@@ -35,8 +32,8 @@
 //! earliest queued arrival becomes runnable, because an idle core may steal
 //! queued work from any other core.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use phase_amp::CoreId;
 
@@ -132,60 +129,19 @@ impl Ord for Event {
     }
 }
 
-/// Number of per-round buckets the calendar window spans. Driver-scheduled
-/// events land at most a few rounds ahead (the next quantum, the next
-/// balance/sample tick); only bursty far-future release times overflow to the
-/// heap.
-const BUCKET_WINDOW: usize = 256;
-
-/// A calendar queue over round-width time buckets with a binary-heap overflow
-/// for far-future events; pops in (timestamp, kind, core, insertion) order.
-///
-/// Events within `BUCKET_WINDOW` rounds of the window base go into a dense
-/// ring of per-round buckets (push is a `Vec::push`, pop a min-scan of one
-/// small bucket); later events wait in the overflow heap and migrate into the
-/// window as the base advances. Ordering holds because bucket `k` only holds
-/// timestamps in `[(base+k)·w, (base+k+1)·w)` — every event in an earlier
-/// bucket sorts before every event in a later one, and overflow events sort
-/// after the whole window.
-#[derive(Debug)]
-pub struct BucketQueue {
-    width_ns: f64,
-    /// Round index of bucket zero.
-    base_round: u64,
-    window: VecDeque<Vec<Event>>,
-    far: BinaryHeap<std::cmp::Reverse<Event>>,
-    len: usize,
+/// A binary min-heap of events, popping in (timestamp, kind rank, core,
+/// insertion) order. The driver keeps one live wake-up per core plus the
+/// balance and sampling ticks, so the heap stays a handful of events deep.
+#[derive(Debug, Default)]
+pub struct EventQueue {
+    heap: BinaryHeap<Reverse<Event>>,
     next_seq: u64,
 }
 
-impl BucketQueue {
-    /// Creates an empty queue whose buckets are `width_ns` wide (the round
-    /// timeslice, for the event driver).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width_ns` is not a positive finite time.
-    pub fn new(width_ns: f64) -> Self {
-        assert!(
-            width_ns.is_finite() && width_ns > 0.0,
-            "bucket width must be a positive time, got {width_ns}"
-        );
-        Self {
-            width_ns,
-            base_round: 0,
-            window: (0..BUCKET_WINDOW).map(|_| Vec::new()).collect(),
-            far: BinaryHeap::new(),
-            len: 0,
-            next_seq: 0,
-        }
-    }
-
-    fn round_of(&self, time_ns: f64) -> u64 {
-        // Negative times saturate to round zero (`as` is a saturating cast);
-        // a stale past-time push therefore lands in the current bucket, where
-        // the full-`Ord` min-scan still pops it first.
-        (time_ns / self.width_ns).floor() as u64
+impl EventQueue {
+    /// Creates an empty queue.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Schedules an event.
@@ -197,84 +153,17 @@ impl BucketQueue {
         assert!(time_ns.is_finite(), "event time must be finite");
         let seq = self.next_seq;
         self.next_seq += 1;
-        let event = Event { time_ns, kind, seq };
-        let round = self.round_of(time_ns);
-        self.len += 1;
-        if round < self.base_round + BUCKET_WINDOW as u64 {
-            let slot = round.saturating_sub(self.base_round) as usize;
-            self.window[slot].push(event);
-        } else {
-            self.far.push(std::cmp::Reverse(event));
-        }
-    }
-
-    /// Moves every overflow event whose round now falls inside the window
-    /// into its bucket. Called whenever `base_round` advances, so the
-    /// overflow heap always holds strictly-later times than the window.
-    fn migrate_far(&mut self) {
-        while let Some(std::cmp::Reverse(event)) = self.far.peek() {
-            let round = self.round_of(event.time_ns);
-            if round >= self.base_round + BUCKET_WINDOW as u64 {
-                break;
-            }
-            let event = self.far.pop().expect("peeked event exists").0;
-            let slot = round.saturating_sub(self.base_round) as usize;
-            self.window[slot].push(event);
-        }
-    }
-
-    /// Advances the window so bucket zero is the first non-empty bucket
-    /// (rotating empty buckets to the back to reuse their allocations), or
-    /// rebase onto the earliest overflow event when the window is drained.
-    fn normalize(&mut self) {
-        debug_assert!(self.len > 0);
-        match self.window.iter().position(|b| !b.is_empty()) {
-            Some(0) => {}
-            Some(gap) => {
-                for _ in 0..gap {
-                    let bucket = self.window.pop_front().expect("window has a fixed size");
-                    debug_assert!(bucket.is_empty());
-                    self.window.push_back(bucket);
-                    self.base_round += 1;
-                }
-                self.migrate_far();
-            }
-            None => {
-                let earliest = self
-                    .far
-                    .peek()
-                    .expect("non-empty queue with a drained window has overflow events");
-                self.base_round = self.round_of(earliest.0.time_ns);
-                self.migrate_far();
-            }
-        }
+        self.heap.push(Reverse(Event { time_ns, kind, seq }));
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<Event> {
-        if self.len == 0 {
-            return None;
-        }
-        self.normalize();
-        let bucket = &mut self.window[0];
-        let mut best = 0;
-        for index in 1..bucket.len() {
-            if bucket[index] < bucket[best] {
-                best = index;
-            }
-        }
-        let event = bucket.swap_remove(best);
-        self.len -= 1;
-        Some(event)
+        self.heap.pop().map(|Reverse(event)| event)
     }
 
     /// The timestamp of the earliest pending event, if any.
-    pub fn peek_time(&mut self) -> Option<f64> {
-        if self.len == 0 {
-            return None;
-        }
-        self.normalize();
-        self.window[0].iter().map(|e| e.time_ns).reduce(f64::min)
+    pub fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|Reverse(event)| event.time_ns)
     }
 
     /// Drains every event sharing the earliest pending timestamp into
@@ -292,12 +181,12 @@ impl BucketQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
@@ -347,7 +236,7 @@ pub(crate) fn run<H: PhaseHook + IntervalHook>(mut core: EngineCore<H>) -> SimRe
     let round_ceil = |t: f64| round_ceil(t, quantum);
     let round_time = |r: u64| round_time(r, quantum);
 
-    let mut queue = BucketQueue::new(quantum);
+    let mut queue = EventQueue::new();
     // All same-timestamp events are applied in one pass from this reusable
     // batch instead of one pop/apply cycle each.
     let mut batch: Vec<Event> = Vec::new();
@@ -490,7 +379,7 @@ mod tests {
 
     #[test]
     fn drain_at_earliest_batches_exactly_one_timestamp() {
-        let mut queue = BucketQueue::new(100.0);
+        let mut queue = EventQueue::new();
         queue.push(200.0, EventKind::LoadBalance);
         queue.push(200.0, EventKind::QuantumExpiry { core: CoreId(0) });
         queue.push(300.0, EventKind::QuantumExpiry { core: CoreId(1) });
@@ -541,22 +430,5 @@ mod tests {
             assert_eq!(round_floor(t, quantum), (t / quantum).floor() as u64);
             assert_eq!(round_ceil(t, quantum), (t / quantum).ceil() as u64);
         }
-    }
-
-    #[test]
-    fn far_future_events_migrate_into_the_window() {
-        let width = 10.0;
-        let mut queue = BucketQueue::new(width);
-        // One event far past the window, then a near one.
-        let far_round = 3 * BUCKET_WINDOW as u64;
-        queue.push(far_round as f64 * width, EventKind::LoadBalance);
-        queue.push(width, EventKind::SampleInterval);
-        assert_eq!(
-            queue.pop().map(|e| e.kind()),
-            Some(EventKind::SampleInterval)
-        );
-        // Draining the window rebases onto the overflow event.
-        assert_eq!(queue.pop().map(|e| e.kind()), Some(EventKind::LoadBalance));
-        assert!(queue.pop().is_none());
     }
 }

@@ -10,7 +10,7 @@
 //!   quantum per round and the clock advances by one timeslice per round,
 //!   whether or not a core had work. Its quantum path is written as the
 //!   slow-but-obvious specification.
-//! * [`event`] — the event-driven loop: a bucketed [`BucketQueue`] of
+//! * [`event`] — the event-driven loop: an [`EventQueue`] of
 //!   quantum-expiry, job-arrival, and load-balance events decides which
 //!   rounds and which cores to touch, so fully idle stretches (bursty
 //!   arrival gaps, drained queues) cost nothing. Its quantum path
@@ -54,7 +54,7 @@ pub(crate) mod round;
 
 use dense::{DenseCtrl, DenseProgram, MAX_LOOP_BODY};
 
-pub use event::{BucketQueue, Event, EventKind};
+pub use event::{Event, EventKind, EventQueue};
 
 #[derive(Debug, Default)]
 pub(crate) struct CoreState {
@@ -311,7 +311,9 @@ impl<H: PhaseHook + IntervalHook> EngineCore<H> {
     ///
     /// # Panics
     ///
-    /// Panics if `slots` is empty or any slot has no jobs.
+    /// Panics if `slots` is empty, any slot has no jobs, or a period of
+    /// `config` (timeslice, balance interval, throughput window, sample
+    /// interval) is not a positive finite time.
     pub(crate) fn new(
         label: impl Into<String>,
         machine: MachineSpec,
@@ -344,12 +346,19 @@ impl<H: PhaseHook + IntervalHook> EngineCore<H> {
             slots.len(),
             "one initial affinity per slot"
         );
-        if let Some(interval) = config.sample_interval_ns {
-            // A zero/negative/NaN period would re-arm the event engine's
-            // sampling tick at the same round forever, pinning its clock.
+        // A zero timeslice never advances the round engine's clock, a zero
+        // balance or sampling period re-arms its tick in the round it just
+        // fired in, and a zero window breaks the throughput binning.
+        let periods = [
+            ("timeslice", config.timeslice_ns),
+            ("load-balance interval", config.load_balance_interval_ns),
+            ("throughput window", config.throughput_window_ns),
+        ];
+        let sample = config.sample_interval_ns.map(|ns| ("sample interval", ns));
+        for (name, period) in periods.into_iter().chain(sample) {
             assert!(
-                interval.is_finite() && interval > 0.0,
-                "sample interval must be a positive time, got {interval}"
+                period.is_finite() && period > 0.0,
+                "{name} must be a positive time, got {period}"
             );
         }
         let core_count = machine.core_count();

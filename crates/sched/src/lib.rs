@@ -22,7 +22,7 @@
 //! * [`Simulation`] — the machine + scheduler simulation producing
 //!   [`SimResult`]s with per-process records and throughput windows, run by
 //!   either the reference round-based engine or the default event-driven
-//!   engine ([`EngineKind`], [`BucketQueue`]);
+//!   engine ([`EngineKind`], [`EventQueue`]);
 //! * [`run_in_isolation`] — single-benchmark runs for Table 1 and the
 //!   stretch metric's isolated processing times, a thin wrapper over the
 //!   same engine path.
@@ -37,7 +37,7 @@ mod interp;
 mod process;
 mod sim;
 
-pub use engine::{BucketQueue, Event, EventKind};
+pub use engine::{Event, EventKind, EventQueue};
 pub use hooks::{
     AllCoresHook, IntervalHook, IntervalObservation, MarkContext, MarkFilter, MarkResponse,
     NullHook, PhaseHook, SectionObservation,

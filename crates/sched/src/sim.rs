@@ -30,9 +30,9 @@ pub enum EngineKind {
     /// The reference loop: every core executes one quantum per fixed
     /// timeslice round, idle or not. Kept as the golden baseline.
     RoundBased,
-    /// The bucketed calendar queue (`BucketQueue`): time advances
-    /// event-to-event (quantum expiry, job arrival, load-balance tick) and
-    /// idle rounds cost nothing.
+    /// The event queue (`EventQueue`): time advances event-to-event
+    /// (quantum expiry, job arrival, load-balance tick) and idle rounds
+    /// cost nothing.
     #[default]
     EventDriven,
 }
@@ -242,7 +242,9 @@ impl<H: PhaseHook + IntervalHook> Simulation<H> {
     ///
     /// # Panics
     ///
-    /// Panics if `slots` is empty or any slot has no jobs.
+    /// Panics if `slots` is empty, any slot has no jobs, or a period of
+    /// `config` (timeslice, balance interval, throughput window, sample
+    /// interval) is not a positive finite time.
     pub fn new(
         label: impl Into<String>,
         machine: MachineSpec,
@@ -265,7 +267,9 @@ impl<H: PhaseHook + IntervalHook> Simulation<H> {
     ///
     /// # Panics
     ///
-    /// Panics if `slots` is empty or any slot has no jobs.
+    /// Panics if `slots` is empty, any slot has no jobs, or a period of
+    /// `config` (timeslice, balance interval, throughput window, sample
+    /// interval) is not a positive finite time.
     pub fn partitioned(
         label: impl Into<String>,
         machine: MachineSpec,
@@ -326,6 +330,8 @@ pub fn run_in_isolation<H: PhaseHook + IntervalHook>(
 
 #[cfg(test)]
 mod tests {
+    use std::panic::AssertUnwindSafe;
+
     use super::*;
     use crate::hooks::{MarkContext, NullHook};
     use phase_amp::AffinityMask;
@@ -738,19 +744,45 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive time")]
-    fn non_positive_sample_interval_is_rejected() {
+    fn non_positive_periods_are_rejected() {
         let bench = small_benchmark(10);
-        let _ = Simulation::new(
-            "bad-interval",
-            MachineSpec::core2_quad_amp(),
-            vec![vec![JobSpec::new("a", bench)]],
-            NullHook,
-            SimConfig {
-                sample_interval_ns: Some(0.0),
-                ..SimConfig::default()
-            },
-        );
+        type SetPeriod = fn(&mut SimConfig, f64);
+        let periods: [(&str, SetPeriod); 4] = [
+            ("timeslice", |config, ns| config.timeslice_ns = ns),
+            ("load-balance interval", |config, ns| {
+                config.load_balance_interval_ns = ns
+            }),
+            ("throughput window", |config, ns| {
+                config.throughput_window_ns = ns
+            }),
+            ("sample interval", |config, ns| {
+                config.sample_interval_ns = Some(ns)
+            }),
+        ];
+        for (name, set) in periods {
+            for ns in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+                let mut config = SimConfig::default();
+                set(&mut config, ns);
+                // Construct only: a bad period can hang or panic a run.
+                let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    Simulation::new(
+                        "bad-period",
+                        MachineSpec::core2_quad_amp(),
+                        vec![vec![JobSpec::new("a", Arc::clone(&bench))]],
+                        NullHook,
+                        config,
+                    )
+                }));
+                let Err(payload) = built else {
+                    panic!("a {name} of {ns} was accepted");
+                };
+                let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(
+                    message.starts_with(&format!("{name} must be a positive time")),
+                    "a {name} of {ns} panicked with {message:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,10 +29,6 @@ pub struct RemoteSyncStats {
     /// Per-artifact failures (decode errors, remote misses, error
     /// responses), one line each.
     pub errors: Vec<String>,
-    /// Wall-clock nanoseconds of each `artifact-get` round trip (empty for
-    /// a push); `bench_store` reports their p50/p99 as its `remote_cache`
-    /// hit latency.
-    pub get_latency_ns: Vec<u64>,
 }
 
 /// A line-oriented JSON client over one TCP connection.
@@ -129,7 +125,6 @@ pub fn remote_warm_start(
     let mut stats = RemoteSyncStats::default();
     for (stage, keys) in inventory {
         for key in keys {
-            let started = std::time::Instant::now();
             let doc = client.roundtrip(
                 JsonValue::object()
                     .field("id", client.next_id("get"))
@@ -137,9 +132,6 @@ pub fn remote_warm_start(
                     .field("stage", stage.as_str())
                     .field("hash", key.to_string()),
             )?;
-            stats
-                .get_latency_ns
-                .push(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
             if let Some(error) = response_error(&doc) {
                 stats.errors.push(format!("{stage}:{key}: {error}"));
                 continue;

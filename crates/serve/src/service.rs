@@ -30,7 +30,7 @@ use crate::request::{
 };
 
 /// How a [`TuningService`] is built.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
     /// Driver worker threads each request's study fans its cells across
     /// (`0` is clamped to 1).
@@ -41,21 +41,6 @@ pub struct ServiceConfig {
     /// damaged or outdated spill, is a recorded cold start (what is intact
     /// still loads); only an I/O failure reading it is an error.
     pub warm_start: Option<PathBuf>,
-    /// Whether identical in-flight requests coalesce onto one execution
-    /// (default `true`; disable only to measure the uncoalesced path —
-    /// answers are bit-identical either way).
-    pub coalesce: bool,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        Self {
-            threads: 0,
-            budget_bytes: None,
-            warm_start: None,
-            coalesce: true,
-        }
-    }
 }
 
 impl ServiceConfig {
@@ -324,7 +309,6 @@ pub struct TuningService {
     store: Arc<ArtifactStore>,
     threads: usize,
     warm_loaded: usize,
-    coalesce: bool,
     inflight: Arc<SingleFlight<FlightOutcome>>,
     metrics: ServeMetrics,
     started: Instant,
@@ -346,7 +330,6 @@ impl TuningService {
         };
         Ok(Self {
             warm_loaded,
-            coalesce: config.coalesce,
             ..Self::with_store(Arc::new(store), config.threads)
         })
     }
@@ -357,7 +340,6 @@ impl TuningService {
             store,
             threads: threads.max(1),
             warm_loaded: 0,
-            coalesce: true,
             inflight: Arc::new(SingleFlight::default()),
             metrics: ServeMetrics::default(),
             started: Instant::now(),
@@ -449,10 +431,10 @@ impl TuningService {
     /// The one request pipeline every front end runs. Stats, trace and
     /// artifact requests are answered here. A study request joins its
     /// flight: a follower waits for the leader's outcome in a
-    /// `coalesced_wait` span and takes no execution slot; a leader (or an
-    /// uncoalesced request) becomes a job for the execute step, which runs
-    /// on the calling thread without an executor and on an executor worker
-    /// with one.
+    /// `coalesced_wait` span and takes no execution slot; a leader (or a
+    /// follower whose leader was shed) becomes a job for the execute step,
+    /// which runs on the calling thread without an executor and on an
+    /// executor worker with one.
     fn pipeline(
         &self,
         request: Cow<'_, TuningRequest>,
@@ -464,12 +446,9 @@ impl TuningService {
             return response;
         }
         let request = request.into_owned();
-        let entry = self
-            .coalesce
-            .then(|| self.inflight.join(request.spec_hash()));
-        let completion = match entry {
-            Some(Entry::Leader(completion)) => Some(completion),
-            Some(Entry::Follower(waiter)) => {
+        let completion = match self.inflight.join(request.spec_hash()) {
+            Entry::Leader(completion) => Some(completion),
+            Entry::Follower(waiter) => {
                 let outcome = {
                     let _span = phase_trace::span("coalesced_wait");
                     waiter.wait()
@@ -482,7 +461,6 @@ impl TuningService {
                 // The leader was shed or died; execute for ourselves.
                 None
             }
-            None => None,
         };
         let job = Job {
             request,

@@ -37,7 +37,6 @@ fn restarted_service_answers_warm_and_identical() {
         threads: 2,
         budget_bytes: None,
         warm_start: Some(dir.clone()),
-        ..ServiceConfig::default()
     })
     .expect("warm start");
     assert!(
@@ -90,7 +89,6 @@ fn warm_restart_into_a_bounded_store_respects_the_budget() {
         threads: 1,
         budget_bytes: Some(budget),
         warm_start: Some(dir.clone()),
-        ..ServiceConfig::default()
     })
     .expect("warm start");
     assert!(
@@ -114,7 +112,6 @@ fn missing_warm_start_directory_is_a_cold_start() {
         threads: 1,
         budget_bytes: None,
         warm_start: Some(dir),
-        ..ServiceConfig::default()
     })
     .expect("missing spill dir is a normal cold start");
     assert_eq!(service.stats().warm_loaded, 0);
@@ -132,7 +129,6 @@ fn damaged_manifest_is_a_cold_start() {
         threads: 1,
         budget_bytes: None,
         warm_start: Some(dir.clone()),
-        ..ServiceConfig::default()
     })
     .expect("a damaged manifest is a cold start, not a startup failure");
     assert_eq!(restarted.stats().warm_loaded, 0);

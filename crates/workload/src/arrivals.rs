@@ -9,9 +9,9 @@
 //! `(shape, rate, duration, seed)` always produces the identical trace —
 //! the property every determinism test in the workspace leans on.
 //!
-//! The same generators drive both the live TCP load benchmark (`bench_load`)
-//! and the simulated serving workloads built by
-//! [`WorkloadSpec::OpenLoop`](crate::WorkloadSpec).
+//! The same generators drive both the live TCP load of the repository
+//! benchmark (perfbench's `serve-mix` workload) and the simulated serving
+//! workloads built by [`WorkloadSpec::OpenLoop`](crate::WorkloadSpec).
 
 use serde::{Deserialize, Serialize};
 

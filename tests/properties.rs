@@ -1,10 +1,7 @@
 //! Property-based tests over the core data structures and analyses:
 //! control-flow invariants on arbitrary generated procedures, clustering and
 //! statistics invariants, affinity-mask algebra, and the simulator's event
-//! queue against a binary-heap reference.
-
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+//! queue order.
 
 use proptest::prelude::*;
 
@@ -15,7 +12,7 @@ use phase_tuning::substrate::ir::{
     BlockId, BranchBehavior, Instruction, Location, ProcId, Procedure, ProcedureBuilder, Terminator,
 };
 use phase_tuning::substrate::metrics::SummaryStats;
-use phase_tuning::substrate::sched::{BucketQueue, EventKind};
+use phase_tuning::substrate::sched::{EventKind, EventQueue};
 
 /// Builds an arbitrary (possibly irreducible) procedure with `block_count`
 /// blocks whose terminators are chosen from the given selector values.
@@ -71,66 +68,25 @@ fn tie_break(kind: EventKind) -> (u8, u32) {
     }
 }
 
-/// One event in the reference heap; `seq` is its insertion number.
-#[derive(Debug, Clone, Copy)]
-struct HeapEvent {
-    time_ns: f64,
-    kind: EventKind,
-    seq: u64,
-}
-
-impl Ord for HeapEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.time_ns
-            .total_cmp(&other.time_ns)
-            .then_with(|| tie_break(self.kind).cmp(&tie_break(other.kind)))
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
-impl PartialOrd for HeapEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for HeapEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for HeapEvent {}
-
-/// The ordering reference the engine's `BucketQueue` is held to: a plain
-/// binary min-heap popping in (timestamp, kind rank, core, insertion) order.
-#[derive(Default)]
-struct HeapQueue {
-    heap: BinaryHeap<Reverse<HeapEvent>>,
-    next_seq: u64,
-}
-
-impl HeapQueue {
-    fn push(&mut self, time_ns: f64, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(HeapEvent { time_ns, kind, seq }));
-    }
-
-    fn pop(&mut self) -> Option<(f64, EventKind)> {
-        self.heap
-            .pop()
-            .map(|Reverse(event)| (event.time_ns, event.kind))
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-/// Pops the bucket queue's next event as a `(time, kind)` pair.
-fn pop_bucket(queue: &mut BucketQueue) -> Option<(f64, EventKind)> {
+/// Pops the queue's next event as a `(time, kind)` pair.
+fn pop(queue: &mut EventQueue) -> Option<(f64, EventKind)> {
     queue.pop().map(|event| (event.time_ns(), event.kind()))
+}
+
+/// Removes the least pending `(time, kind, insertion)` by timestamp, then
+/// [`tie_break`], then insertion (the order the event queue pops in), and
+/// returns its `(time, kind)`.
+fn take_least(pending: &mut Vec<(f64, EventKind, usize)>) -> Option<(f64, EventKind)> {
+    let least = (0..pending.len()).min_by(|&a, &b| {
+        let (time_a, kind_a, seq_a) = pending[a];
+        let (time_b, kind_b, seq_b) = pending[b];
+        time_a
+            .total_cmp(&time_b)
+            .then(tie_break(kind_a).cmp(&tie_break(kind_b)))
+            .then(seq_a.cmp(&seq_b))
+    })?;
+    let (time_ns, kind, _) = pending.remove(least);
+    Some((time_ns, kind))
 }
 
 proptest! {
@@ -279,7 +235,7 @@ proptest! {
     fn event_queue_pops_in_timestamp_order(
         events in proptest::collection::vec((0u64..50, 0u8..4, 0u32..4), 1..80),
     ) {
-        let mut queue = BucketQueue::new(20_000.0);
+        let mut queue = EventQueue::new();
         for &(slot, kind, core) in &events {
             queue.push(slot as f64 * 20_000.0, event_kind(kind, core));
         }
@@ -287,7 +243,7 @@ proptest! {
 
         let mut previous: Option<(f64, (u8, u32))> = None;
         let mut popped = 0usize;
-        while let Some((time_ns, kind)) = pop_bucket(&mut queue) {
+        while let Some((time_ns, kind)) = pop(&mut queue) {
             popped += 1;
             let key = (time_ns, tie_break(kind));
             if let Some(prev) = previous {
@@ -304,80 +260,75 @@ proptest! {
         prop_assert!(queue.is_empty());
     }
 
-    /// The bucketed calendar queue pops in exactly the binary-heap reference
-    /// order under arbitrary interleavings of pushes and pops, with event
-    /// times spread across every horizon the queue distinguishes: the live
-    /// bucket, the in-window calendar, and the far-future overflow heap.
+    /// The simulator's event queue pops, at any point of an arbitrary
+    /// interleaving of pushes and pops, the least pending event by
+    /// timestamp, then kind rank (arrivals, balance, sampling, quanta), then
+    /// core, then insertion.
     #[test]
-    fn bucket_queue_matches_heap_order_under_interleaving(
-        ops in proptest::collection::vec(
-            (0u8..4, 0u8..4, any::<u8>(), 0u8..4, 0u32..4),
-            1..100,
-        ),
+    fn event_queue_pops_the_least_pending_event_under_interleaving(
+        ops in proptest::collection::vec((0u8..4, 0u8..64, 0u8..4, 0u32..4), 1..100),
     ) {
-        const WIDTH_NS: f64 = 20_000.0;
-        let mut heap = HeapQueue::default();
-        let mut bucket = BucketQueue::new(WIDTH_NS);
-        for &(op, horizon, step, kind, core) in &ops {
+        let mut queue = EventQueue::new();
+        let mut pending = Vec::new();
+        for (seq, &(op, step, kind, core)) in ops.iter().enumerate() {
             if op == 0 {
-                // A quarter of the ops pop mid-stream; popping advances the
-                // calendar's base, so later pushes may land behind it.
-                let reference = heap.pop();
-                prop_assert_eq!(pop_bucket(&mut bucket), reference);
+                // A quarter of the ops pop mid-stream.
+                prop_assert_eq!(pop(&mut queue), take_least(&mut pending));
             } else {
-                let base = match horizon {
-                    0 => 0.0,                // the live bucket
-                    1 => WIDTH_NS * 100.0,   // inside the calendar window
-                    2 => WIDTH_NS * 300.0,   // just past it: overflow heap
-                    _ => WIDTH_NS * 9_999.0, // deep future
-                };
-                // Fractional offsets: times need not be round-aligned.
-                let time_ns = base + f64::from(step) * WIDTH_NS / 8.0;
-                heap.push(time_ns, event_kind(kind, core));
-                bucket.push(time_ns, event_kind(kind, core));
+                // Eighths of a 20 000 ns round: times need not be
+                // round-aligned, and many share a timestamp.
+                let time_ns = f64::from(step) * 2_500.0;
+                let kind = event_kind(kind, core);
+                queue.push(time_ns, kind);
+                pending.push((time_ns, kind, seq));
             }
         }
-        prop_assert_eq!(bucket.len(), heap.len());
+        prop_assert_eq!(queue.len(), pending.len());
         loop {
-            let reference = heap.pop();
-            prop_assert_eq!(pop_bucket(&mut bucket), reference);
-            if reference.is_none() {
+            let want = take_least(&mut pending);
+            prop_assert_eq!(pop(&mut queue), want);
+            if want.is_none() {
                 break;
             }
         }
-        prop_assert!(bucket.is_empty());
+        prop_assert!(queue.is_empty());
     }
 }
 
-/// A fixed mixed schedule: same-timestamp ties of every kind, plus two
-/// events far beyond the calendar window that start in the overflow heap.
+/// A fixed mixed schedule with same-timestamp ties of every kind, pinned to
+/// its pop order: arrivals, then the balance tick, then the sampling tick,
+/// then quanta, each by core. Both engines' equivalence rests on this order.
 #[test]
-fn bucket_queue_matches_heap_order_on_a_mixed_schedule() {
-    let width = 20_000.0;
-    let mut bucket = BucketQueue::new(width);
-    let mut heap = HeapQueue::default();
+fn event_queue_pops_a_mixed_schedule_in_rank_then_core_order() {
+    let mut queue = EventQueue::new();
     let pushes = [
         (40_000.0, EventKind::QuantumExpiry { core: CoreId(1) }),
-        (40_000.0, EventKind::JobArrival { core: CoreId(0) }),
+        (40_000.0, EventKind::JobArrival { core: CoreId(1) }),
         (40_000.0, EventKind::LoadBalance),
         (20_000.0, EventKind::QuantumExpiry { core: CoreId(0) }),
-        // Far beyond the 256-round window: overflow heap.
-        (width * 10_000.0, EventKind::JobArrival { core: CoreId(2) }),
+        (200_000_000.0, EventKind::JobArrival { core: CoreId(2) }),
         (40_000.0, EventKind::SampleInterval),
-        (
-            width * 9_000.0,
-            EventKind::QuantumExpiry { core: CoreId(3) },
-        ),
+        (40_000.0, EventKind::JobArrival { core: CoreId(0) }),
+        (40_000.0, EventKind::QuantumExpiry { core: CoreId(0) }),
+        (180_000_000.0, EventKind::QuantumExpiry { core: CoreId(3) }),
     ];
-    for (t, k) in pushes {
-        bucket.push(t, k);
-        heap.push(t, k);
+    for (time_ns, kind) in pushes {
+        queue.push(time_ns, kind);
     }
-    assert_eq!(bucket.len(), heap.len());
-    let got: Vec<_> = std::iter::from_fn(|| pop_bucket(&mut bucket)).collect();
-    let want: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
+    let got: Vec<_> = std::iter::from_fn(|| pop(&mut queue)).collect();
+    let want = vec![
+        (20_000.0, EventKind::QuantumExpiry { core: CoreId(0) }),
+        (40_000.0, EventKind::JobArrival { core: CoreId(0) }),
+        (40_000.0, EventKind::JobArrival { core: CoreId(1) }),
+        (40_000.0, EventKind::LoadBalance),
+        (40_000.0, EventKind::SampleInterval),
+        (40_000.0, EventKind::QuantumExpiry { core: CoreId(0) }),
+        (40_000.0, EventKind::QuantumExpiry { core: CoreId(1) }),
+        (180_000_000.0, EventKind::QuantumExpiry { core: CoreId(3) }),
+        (200_000_000.0, EventKind::JobArrival { core: CoreId(2) }),
+    ];
     assert_eq!(got, want);
-    assert!(bucket.is_empty());
+    assert!(queue.is_empty());
 }
 
 proptest! {
