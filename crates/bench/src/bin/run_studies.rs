@@ -12,6 +12,9 @@
 //! wall-clock per study, the end-to-end wall-clock, and the final store
 //! counters — the regression artifact CI tracks for the caching layer.
 //!
+//! The run exits 1 if any stage of the store has more misses than entries:
+//! the store is unbounded, so that means some artifact was computed twice.
+//!
 //! Named studies run in the given order on one fresh store, each under its
 //! own header, with no warm pass, no spill and no `BENCH_study.json`; `tail`
 //! runs only by name. A study whose gate fails exits 1 before its report is
@@ -202,6 +205,23 @@ fn run_all(settings: &BenchSettings) {
             cold_report.elapsed_s,
             warm_report.elapsed_s,
         ));
+    }
+
+    // --- Nothing was computed twice: on this unbounded store every miss
+    // admits one entry, so a stage with more misses than entries computed
+    // some artifact more than once.
+    let mut computed_twice = false;
+    for (stage, stats) in &store.snapshot().stages {
+        if stats.misses > stats.entries as u64 {
+            eprintln!(
+                "computed twice: {stage}: {} misses for {} entries",
+                stats.misses, stats.entries
+            );
+            computed_twice = true;
+        }
+    }
+    if computed_twice {
+        std::process::exit(1);
     }
 
     // --- A cache-warmed run must actually run warm: with the assertion

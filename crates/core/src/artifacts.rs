@@ -13,18 +13,22 @@
 //! candidates.
 //!
 //! The store is one typed table of stages. Each entry holds the stage's name
-//! (its trace span, counter key, spill file and wire name), its sharded
-//! in-memory cache (16 shards, `parking_lot` mutexes, per-shard
+//! (its trace span, counter key, spill file and wire name), its in-memory
+//! cache (one `parking_lot` mutex over the map, the CLOCK ring and the
 //! hit/miss/insert/eviction counters), its place in the eviction order and,
 //! for the stages in [`SPILL_STAGES`], the phase-pack codec that the on-disk
-//! spill and the network artifact cache share. Values are deterministic, so
-//! a racing double-compute under contention is harmless: both workers derive
-//! bit-identical artifacts and the first insert wins.
+//! spill and the network artifact cache share. One lock per stage is enough
+//! for the measured traffic: over 10 s of each perfbench workload on a
+//! 2-vCPU VM, 7 of about 36 million lock acquisitions had to wait. Values
+//! are deterministic, so a racing double-compute (two service requests
+//! missing one key at once) is harmless: both derive bit-identical
+//! artifacts and the first insert wins. The driver never races itself: it
+//! simulates each missing cell once ([`crate::Driver::run_cached`]).
 //!
 //! A service-scale store cannot grow without bound: every artifact type
 //! reports its size through [`StoreFootprint`], and a store built with
-//! [`ArtifactStore::with_budget`] enforces a byte budget with sharded CLOCK
-//! eviction ([`ShardedClockCache`]). Admission is conservative — a new
+//! [`ArtifactStore::with_budget`] enforces a byte budget with CLOCK
+//! eviction ([`ClockCache`]). Admission is conservative — a new
 //! artifact is only retained once eviction has made room for it, so the
 //! resident footprint *never* exceeds the budget — and eviction never
 //! removes an entry some caller still borrows through its `Arc`.
@@ -51,9 +55,6 @@ use crate::pipeline::{
     instrument_stage, min_typed_block_size, profile_stage, regions_stage, typing_stage,
     IpcProfileArtifact, PipelineConfig, TypingStrategy,
 };
-
-/// Number of shards per stage cache.
-const SHARDS: usize = 16;
 
 /// Upper bound on the fingerprint memo maps and the program intern table:
 /// each entry pins a program allocation via `Arc`, so they are cleared
@@ -587,11 +588,11 @@ struct Slot<V> {
     referenced: bool,
 }
 
-/// One shard's map, CLOCK ring, and counters. The counters live *inside*
-/// the shard lock, so any snapshot taken under the locks is consistent:
+/// One stage's map, CLOCK ring, and counters. The counters live *inside*
+/// the stage lock, so any snapshot taken under it is consistent:
 /// `inserts - evictions == map.len()` holds exactly, never torn.
 #[derive(Debug)]
-struct ShardState<V> {
+struct ClockState<V> {
     map: HashMap<ContentHash, Slot<V>>,
     ring: Vec<ContentHash>,
     hand: usize,
@@ -602,7 +603,7 @@ struct ShardState<V> {
     resident_bytes: u64,
 }
 
-impl<V> Default for ShardState<V> {
+impl<V> Default for ClockState<V> {
     fn default() -> Self {
         Self {
             map: HashMap::new(),
@@ -617,12 +618,11 @@ impl<V> Default for ShardState<V> {
     }
 }
 
-impl<V> ShardState<V> {
-    /// One CLOCK sweep over this shard, freeing at least `need` bytes if it
-    /// can. Referenced entries get their bit cleared (one pass of grace);
-    /// entries currently borrowed through an outside `Arc` are never
-    /// evicted. At most two full revolutions, so a fully-pinned shard cannot
-    /// livelock the sweep.
+impl<V> ClockState<V> {
+    /// One CLOCK sweep, freeing at least `need` bytes if it can. Referenced
+    /// entries get their bit cleared (one pass of grace); entries currently
+    /// borrowed through an outside `Arc` are never evicted. At most two full
+    /// revolutions, so a fully-pinned stage cannot livelock the sweep.
     fn evict(&mut self, need: u64) -> u64 {
         let mut freed = 0;
         let mut scanned = 0;
@@ -652,26 +652,16 @@ impl<V> ShardState<V> {
     }
 }
 
-/// One stage's sharded CLOCK cache: 16 shards, each an insertion ring with
-/// reference bits, per-shard counters, and footprint accounting. Eviction
+/// One stage's CLOCK cache: one lock over an insertion ring with reference
+/// bits, the stage's counters, and footprint accounting. Eviction
 /// approximates LRU (CLOCK second-chance) and skips entries whose `Arc` is
-/// borrowed outside the cache; successive sweeps start at successive
-/// shards, so capacity pressure is spread across the shards instead of
-/// draining shard 0 first.
+/// borrowed outside the cache.
 #[derive(Debug)]
-pub struct ShardedClockCache<V> {
-    shards: Vec<Mutex<ShardState<V>>>,
-    sweep_start: std::sync::atomic::AtomicUsize,
-}
+pub struct ClockCache<V>(Mutex<ClockState<V>>);
 
-impl<V> Default for ShardedClockCache<V> {
+impl<V> Default for ClockCache<V> {
     fn default() -> Self {
-        Self {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(ShardState::default()))
-                .collect(),
-            sweep_start: std::sync::atomic::AtomicUsize::new(0),
-        }
+        Self(Mutex::new(ClockState::default()))
     }
 }
 
@@ -692,7 +682,7 @@ struct Stage<V> {
     name: &'static str,
     /// The cross-stage eviction preference: lower ranks are swept first.
     evict_rank: u8,
-    cache: ShardedClockCache<V>,
+    cache: ClockCache<V>,
     /// `Some` exactly for the stages in [`SPILL_STAGES`].
     codec: Option<Codec<V>>,
 }
@@ -703,7 +693,7 @@ impl<V> Stage<V> {
         Self {
             name,
             evict_rank,
-            cache: ShardedClockCache::new(),
+            cache: ClockCache::new(),
             codec: None,
         }
     }
@@ -807,29 +797,25 @@ impl<V: StoreFootprint + Send + Sync> AnyStage for Stage<V> {
     }
 }
 
-impl<V> ShardedClockCache<V> {
+impl<V> ClockCache<V> {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn shard(&self, key: ContentHash) -> &Mutex<ShardState<V>> {
-        &self.shards[(key.lo as usize) % SHARDS]
-    }
-
     /// Looks up `key`, counting a hit or a miss and setting the CLOCK
     /// reference bit on a hit.
     pub fn lookup(&self, key: ContentHash) -> Option<Arc<V>> {
-        let mut shard = self.shard(key).lock();
-        match shard.map.get_mut(&key) {
+        let mut state = self.0.lock();
+        match state.map.get_mut(&key) {
             Some(slot) => {
                 slot.referenced = true;
                 let value = Arc::clone(&slot.value);
-                shard.hits += 1;
+                state.hits += 1;
                 Some(value)
             }
             None => {
-                shard.misses += 1;
+                state.misses += 1;
                 None
             }
         }
@@ -840,8 +826,8 @@ impl<V> ShardedClockCache<V> {
     /// the new entry is added with its reference bit set (one sweep of
     /// grace, like a fresh hit).
     fn admit_sized(&self, key: ContentHash, value: Arc<V>, bytes: u64) -> Arc<V> {
-        let mut shard = self.shard(key).lock();
-        match shard.map.entry(key) {
+        let mut state = self.0.lock();
+        match state.map.entry(key) {
             std::collections::hash_map::Entry::Occupied(entry) => Arc::clone(&entry.get().value),
             std::collections::hash_map::Entry::Vacant(entry) => {
                 entry.insert(Slot {
@@ -849,79 +835,62 @@ impl<V> ShardedClockCache<V> {
                     bytes,
                     referenced: true,
                 });
-                shard.ring.push(key);
-                shard.inserts += 1;
-                shard.resident_bytes += bytes;
+                state.ring.push(key);
+                state.inserts += 1;
+                state.resident_bytes += bytes;
                 value
             }
         }
     }
 
-    /// A CLOCK sweep across the shards freeing at least `need` bytes if any
-    /// unreferenced, unborrowed entries remain. Returns the bytes freed.
+    /// A CLOCK sweep freeing at least `need` bytes if any unreferenced,
+    /// unborrowed entries remain. Returns the bytes freed.
     pub fn evict(&self, need: u64) -> u64 {
-        let start = self
-            .sweep_start
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut freed = 0;
-        for offset in 0..self.shards.len() {
-            if freed >= need {
-                break;
-            }
-            let shard = &self.shards[(start + offset) % self.shards.len()];
-            freed += shard.lock().evict(need - freed);
-        }
-        freed
+        self.0.lock().evict(need)
     }
 
     /// Total bytes currently resident in this stage.
     pub fn resident_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().resident_bytes).sum()
+        self.0.lock().resident_bytes
     }
 
-    /// A consistent snapshot of this stage's counters: each shard's counters
-    /// are read under its lock, so `inserts - evictions == entries` and the
-    /// footprint sum hold exactly.
+    /// A consistent snapshot of this stage's counters, read under its lock,
+    /// so `inserts - evictions == entries` and the footprint sum hold
+    /// exactly.
     pub fn snapshot(&self) -> StageStats {
-        let mut stats = StageStats::default();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            stats.entries += shard.map.len();
-            stats.hits += shard.hits;
-            stats.misses += shard.misses;
-            stats.inserts += shard.inserts;
-            stats.evictions += shard.evictions;
-            stats.resident_bytes += shard.resident_bytes;
+        let state = self.0.lock();
+        StageStats {
+            entries: state.map.len(),
+            hits: state.hits,
+            misses: state.misses,
+            inserts: state.inserts,
+            evictions: state.evictions,
+            resident_bytes: state.resident_bytes,
         }
-        stats
     }
 
     /// Whether `key` is resident, without touching the hit/miss counters or
     /// the CLOCK reference bit (a pure peek, used to report admission
     /// outcomes).
     pub fn contains(&self, key: ContentHash) -> bool {
-        self.shard(key).lock().map.contains_key(&key)
+        self.0.lock().map.contains_key(&key)
     }
 
     /// Every entry, sorted by key (deterministic; used by the spill).
     pub fn entries(&self) -> Vec<(ContentHash, Arc<V>)> {
         let mut all: Vec<(ContentHash, Arc<V>)> = self
-            .shards
+            .0
+            .lock()
+            .map
             .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .map
-                    .iter()
-                    .map(|(k, slot)| (*k, Arc::clone(&slot.value)))
-                    .collect::<Vec<_>>()
-            })
+            .map(|(k, slot)| (*k, Arc::clone(&slot.value)))
             .collect();
         all.sort_by_key(|(k, _)| *k);
         all
     }
 }
 
-impl<V: StoreFootprint> ShardedClockCache<V> {
+impl<V: StoreFootprint> ClockCache<V> {
     /// Inserts `value` under `key` unbudgeted, charging its own footprint.
     /// The resident entry wins if a racing insert got there first.
     pub fn admit(&self, key: ContentHash, value: Arc<V>) -> Arc<V> {
@@ -929,8 +898,8 @@ impl<V: StoreFootprint> ShardedClockCache<V> {
         self.admit_sized(key, value, bytes)
     }
 
-    /// Returns the cached artifact for `key`, computing it outside the shard
-    /// lock on a miss (unbudgeted). Under a racing double-miss both
+    /// Returns the cached artifact for `key`, computing it outside the lock
+    /// on a miss (unbudgeted). Under a racing double-miss both
     /// computations produce the same deterministic value and the first
     /// insert wins.
     pub fn get_or_insert_with(&self, key: ContentHash, compute: impl FnOnce() -> V) -> Arc<V> {
@@ -992,11 +961,6 @@ impl StoreStats {
     /// Total resident bytes across stages.
     pub fn resident_bytes(&self) -> u64 {
         self.stages.iter().map(|(_, s)| s.resident_bytes).sum()
-    }
-
-    /// Total entries across stages.
-    pub fn total_entries(&self) -> usize {
-        self.stages.iter().map(|(_, s)| s.entries).sum()
     }
 
     /// Counters for one stage by name.
@@ -1140,7 +1104,7 @@ impl ArtifactStore {
     }
 
     /// An empty store bounded to `max_bytes` of resident artifacts. On
-    /// admission the store evicts (sharded CLOCK, borrowed entries skipped)
+    /// admission the store evicts (CLOCK, borrowed entries skipped)
     /// until the new artifact fits; an artifact that cannot be made to fit
     /// is returned to the caller *uncached*, so the resident footprint never
     /// exceeds the budget.
@@ -1158,18 +1122,13 @@ impl ArtifactStore {
 
     /// Total bytes currently resident across every stage. On a bounded
     /// store this reads the budget's running total under its lock — O(1),
-    /// and never a torn mid-admission sum; an unbounded store sums the
-    /// per-shard accounting.
+    /// and never a torn mid-admission sum; an unbounded store sums each
+    /// stage's accounting, one stage lock at a time.
     pub fn resident_bytes(&self) -> u64 {
         match &self.budget {
             Some(budget) => *budget.resident.lock(),
-            None => self.resident_bytes_unguarded(),
+            None => self.stages().iter().map(|s| s.stats().resident_bytes).sum(),
         }
-    }
-
-    /// The per-shard accounting sum (what the budget total mirrors).
-    fn resident_bytes_unguarded(&self) -> u64 {
-        self.stages().iter().map(|s| s.stats().resident_bytes).sum()
     }
 
     /// The stage table, type-erased, in pipeline order.
@@ -1203,7 +1162,7 @@ impl ArtifactStore {
     /// One cross-stage eviction round freeing at least `need` bytes if it
     /// can. Stages are tried in the table's fixed `evict_rank` order (cells
     /// and catalogues first) — no residency re-scan per round, since every
-    /// call already runs under the budget lock and extra shard-lock
+    /// call already runs under the budget lock and extra stage-lock
     /// round-trips there stall all other admissions. Returns the bytes
     /// freed; `0` means every remaining entry is referenced or borrowed.
     fn evict_round(&self, need: u64) -> u64 {
@@ -1227,7 +1186,7 @@ impl ArtifactStore {
     /// `resident_bytes() <= budget` is an invariant, not a goal.
     fn admit<V: StoreFootprint>(
         &self,
-        cache: &ShardedClockCache<V>,
+        cache: &ClockCache<V>,
         key: ContentHash,
         value: Arc<V>,
     ) -> Arc<V> {
@@ -1237,7 +1196,7 @@ impl ArtifactStore {
         let mut resident = budget.resident.lock();
         // A racing admission may have inserted the key while we computed;
         // the resident entry wins without any new accounting.
-        if let Some(found) = cache.shard(key).lock().map.get(&key) {
+        if let Some(found) = cache.0.lock().map.get(&key) {
             return Arc::clone(&found.value);
         }
         let bytes = value.footprint_bytes();
@@ -1511,6 +1470,17 @@ impl ArtifactStore {
         })
     }
 
+    /// The uninstrumented twin of every benchmark of a catalogue,
+    /// index-aligned with it: one counted lookup per program, in catalogue
+    /// order, exactly as [`ArtifactStore::baseline`] would make them.
+    pub fn baseline_catalog(&self, catalog: &Catalog) -> Vec<Arc<InstrumentedProgram>> {
+        catalog
+            .benchmarks()
+            .iter()
+            .map(|bench| self.baseline(bench.program()))
+            .collect()
+    }
+
     /// Per-benchmark isolated runtimes for a catalogue on a machine
     /// (config-independent like the baseline twins; the stretch metric's
     /// denominator).
@@ -1570,14 +1540,15 @@ impl ArtifactStore {
     }
 
     /// Whether the cell under `key` is resident: an uncounted peek that
-    /// leaves the hit/miss counters and the CLOCK reference bit alone.
+    /// leaves the hit/miss counters and the CLOCK reference bit alone. The
+    /// driver asks it to pick the cells a plan must simulate.
     pub(crate) fn has_cell(&self, key: ContentHash) -> bool {
         self.cells.cache.contains(key)
     }
 
     /// A consistent snapshot of every stage's counters, in pipeline order.
     ///
-    /// Each stage's counters are read under its shard locks, so the
+    /// Each stage's counters are read under its lock, so the
     /// invariants `hits + misses == lookups` and
     /// `inserts - evictions == entries` hold exactly in the returned value —
     /// readers can never observe a torn combination (an insert counted but

@@ -10,20 +10,22 @@
 //! `--threads=8` produce the same [`PlanOutcome`] (see
 //! `tests/driver_determinism.rs` at the workspace root).
 //!
-//! Through the artifact store ([`Driver::run_cached`]) a plan whose every
-//! cell is already stored is only lookups, so it is answered on the calling
-//! thread without spawning workers, as a one-worker driver or a one-cell plan
-//! always is. Results are shared, not copied: a hit hands out the stored
-//! `Arc<SimResult>`.
+//! Through the artifact store ([`Driver::run_cached`]) the driver simulates
+//! only the first cell of each key the store lacks, one cell per claim, and
+//! answers every other cell with one counted lookup on the calling thread.
+//! So each missing cell is simulated once, whatever the worker count, and a
+//! plan whose every cell is already stored spawns no worker at all. Results
+//! are shared, not copied: a hit hands out the stored `Arc<SimResult>`.
 //!
 //! The integer counters ([`PlanAggregate`]) and the floating-point summaries
 //! ([`PlanOutcome::flow_summary`], through `phase-metrics`) are computed over
 //! the results in plan order.
 
+use std::collections::HashSet;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use phase_amp::{AffinityMask, MachineSpec};
 use phase_marking::InstrumentedProgram;
 use phase_metrics::SummaryStats;
@@ -337,10 +339,11 @@ impl Driver {
 
     /// Runs every cell of the plan and returns the results in plan order.
     ///
-    /// Cells are claimed from a shared cursor, so long cells do not leave
-    /// workers idle; each cell's simulation is fully independent (own
-    /// processes, own hook, own seed), which is what makes the fan-out safe
-    /// and deterministic.
+    /// Workers claim one cell at a time from a shared cursor, so long cells
+    /// do not leave workers idle; each cell's simulation is fully independent
+    /// (own processes, own hook, own seed), which is what makes the fan-out
+    /// safe and deterministic. A one-worker driver or a one-cell plan runs on
+    /// the calling thread.
     pub fn run(&self, plan: ExperimentPlan) -> PlanOutcome {
         self.run_inner(plan, None)
     }
@@ -353,9 +356,12 @@ impl Driver {
     /// once and shared.
     ///
     /// Every cell's key is derived on the calling thread, inside the cell's
-    /// trace context. When every key is resident (an uncounted peek), the
-    /// plan is answered on the calling thread; otherwise it fans out as
-    /// [`Driver::run`] does. Either way each cell makes one counted lookup.
+    /// trace context. The first cell of each key the store lacks (an
+    /// uncounted peek) is simulated as [`Driver::run`] simulates a cell, on
+    /// at most one worker per such cell; then every other cell is answered
+    /// on the calling thread, in plan order. Each cell makes one counted
+    /// lookup, so a fresh unbounded store reads one miss per distinct key
+    /// at any worker count.
     pub fn run_cached(&self, plan: ExperimentPlan, store: &ArtifactStore) -> PlanOutcome {
         self.run_inner(plan, Some(store))
     }
@@ -396,71 +402,49 @@ impl Driver {
             )
         };
 
-        // A plan whose every cell is resident is only lookups: answer it on
-        // this thread, as a one-worker driver or a one-cell plan always is.
-        let all_resident = store.is_some_and(|store| keys.iter().all(|&key| store.has_cell(key)));
-        let workers = if all_resident {
-            1
-        } else {
-            self.threads.min(cell_count)
+        // The cells to simulate: every cell of an uncached plan, else the
+        // first cell of each key the store lacks (an uncounted peek).
+        let fresh: Vec<usize> = match store {
+            None => (0..cell_count).collect(),
+            Some(store) => {
+                let mut seen = HashSet::new();
+                (0..cell_count)
+                    .filter(|&index| seen.insert(keys[index]) && !store.has_cell(keys[index]))
+                    .collect()
+            }
         };
-        let cells: Vec<CellResult> = if workers <= 1 {
-            (0..cell_count).map(run).collect()
+        let cursor = AtomicUsize::new(0);
+        let claim = || fresh.get(cursor.fetch_add(1, Ordering::Relaxed)).copied();
+        let simulate = || std::iter::from_fn(claim).map(run).collect::<Vec<_>>();
+        let workers = self.threads.min(fresh.len());
+        let simulated: Vec<CellResult> = if workers <= 1 {
+            simulate()
         } else {
-            let results: Vec<Mutex<Option<CellResult>>> =
-                (0..cell_count).map(|_| Mutex::new(None)).collect();
-            let cursor = AtomicUsize::new(0);
             std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        while let Some((start, end)) = claim_chunk(&cursor, cell_count, workers) {
-                            for (index, slot) in (start..end).zip(&results[start..end]) {
-                                *slot.lock() = Some(run(index));
-                            }
-                        }
-                    });
-                }
-            });
-            results
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("every cell was executed"))
-                .collect()
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(simulate)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|handle| handle.join().unwrap_or_else(|panic| resume_unwind(panic)))
+                    .collect()
+            })
         };
+        let mut results = vec![None; cell_count];
+        for cell in simulated {
+            let index = cell.index;
+            results[index] = Some(cell);
+        }
+        // Every other cell is one counted lookup on this thread, in plan
+        // order: a hit on the artifact its key's first cell just stored.
+        let cells: Vec<CellResult> = results
+            .into_iter()
+            .enumerate()
+            .map(|(index, cell)| cell.unwrap_or_else(|| run(index)))
+            .collect();
         let mut aggregate = PlanAggregate::default();
         for cell in &cells {
             aggregate.absorb(&cell.result);
         }
         PlanOutcome { cells, aggregate }
-    }
-}
-
-/// Claims the next chunk of cell indices `[start, end)` from the shared
-/// cursor, or `None` when the plan is exhausted.
-///
-/// Guided self-scheduling: each claim takes a quarter of the remaining
-/// cells per worker, so early claims are large (few contended atomics on
-/// big sweeps) while late claims shrink to single cells (no worker sits
-/// idle behind a straggler holding a fixed-size tail chunk). Which worker
-/// runs which cell never affects the outcome — results are written by
-/// index and the aggregate is order-independent — so chunking is purely a
-/// scheduling optimisation.
-fn claim_chunk(cursor: &AtomicUsize, cell_count: usize, workers: usize) -> Option<(usize, usize)> {
-    let mut start = cursor.load(Ordering::Relaxed);
-    loop {
-        if start >= cell_count {
-            return None;
-        }
-        let remaining = cell_count - start;
-        let chunk = (remaining / (workers * 4)).max(1);
-        match cursor.compare_exchange_weak(
-            start,
-            start + chunk,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return Some((start, start + chunk)),
-            Err(current) => start = current,
-        }
     }
 }
 
@@ -691,40 +675,6 @@ mod tests {
             assert_eq!(a.result, b.result);
             assert_eq!(a.label, b.label);
         }
-    }
-
-    #[test]
-    fn claim_chunk_covers_every_cell_exactly_once() {
-        for (cell_count, workers) in [(0, 4), (1, 4), (7, 3), (64, 4), (100, 1), (5, 16)] {
-            let cursor = AtomicUsize::new(0);
-            let mut next_expected = 0;
-            while let Some((start, end)) = claim_chunk(&cursor, cell_count, workers) {
-                assert_eq!(start, next_expected, "chunks must be contiguous");
-                assert!(end > start && end <= cell_count);
-                next_expected = end;
-            }
-            assert_eq!(next_expected, cell_count, "every cell claimed");
-            assert!(claim_chunk(&cursor, cell_count, workers).is_none());
-        }
-    }
-
-    #[test]
-    fn claim_chunk_shrinks_toward_the_tail() {
-        let cursor = AtomicUsize::new(0);
-        let mut sizes = Vec::new();
-        while let Some((start, end)) = claim_chunk(&cursor, 256, 4) {
-            sizes.push(end - start);
-        }
-        assert!(
-            sizes.windows(2).all(|w| w[1] <= w[0]),
-            "sizes decay: {sizes:?}"
-        );
-        assert_eq!(
-            *sizes.first().unwrap(),
-            16,
-            "first claim is remaining/(workers*4)"
-        );
-        assert_eq!(*sizes.last().unwrap(), 1, "tail claims are single cells");
     }
 
     #[test]

@@ -281,11 +281,7 @@ pub fn prepare_workload_cached(
         config.workload_seed,
     );
     let instrumented = store.instrumented_catalog(&catalog, &config.machine, &config.pipeline);
-    let baseline: Vec<Arc<InstrumentedProgram>> = catalog
-        .benchmarks()
-        .iter()
-        .map(|b| store.baseline(b.program()))
-        .collect();
+    let baseline = store.baseline_catalog(&catalog);
     let isolated_ns = isolated_runtimes_cached(
         &catalog_spec,
         &catalog,

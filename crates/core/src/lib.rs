@@ -54,8 +54,8 @@ mod study;
 pub mod trace_export;
 
 pub use artifacts::{
-    ArtifactStore, CachedCell, ContentHash, Fingerprint, ShardedClockCache, SpillLoadReport,
-    StableHasher, StageStats, StoreBudget, StoreFootprint, StoreStats, SPILL_STAGES,
+    ArtifactStore, CachedCell, ClockCache, ContentHash, Fingerprint, SpillLoadReport, StableHasher,
+    StageStats, StoreBudget, StoreFootprint, StoreStats, SPILL_STAGES,
 };
 pub use driver::{
     cell_seed, CellResult, CellSpec, Driver, ExperimentPlan, PlanAggregate, PlanOutcome,

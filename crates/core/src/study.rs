@@ -390,19 +390,22 @@ impl StudyReport {
             doc = doc.field(name, value.clone());
         }
         doc.field("elapsed_s", self.elapsed_s)
-            .field(
-                "rows",
-                self.rows
-                    .iter()
-                    .map(|row| {
-                        row.metrics.iter().fold(
-                            JsonValue::object().field("label", row.label.as_str()),
-                            |doc, (name, value)| doc.field(name, value.to_json()),
-                        )
-                    })
-                    .collect::<Vec<_>>(),
-            )
+            .field("rows", self.rows_json())
             .field("store", self.store.to_json())
+    }
+
+    /// The rows as JSON objects, each its label followed by its metrics in
+    /// order: the `rows` of a BENCH report and of a wire reply.
+    pub fn rows_json(&self) -> Vec<JsonValue> {
+        self.rows
+            .iter()
+            .map(|row| {
+                row.metrics.iter().fold(
+                    JsonValue::object().field("label", row.label.as_str()),
+                    |doc, (name, value)| doc.field(name, value.to_json()),
+                )
+            })
+            .collect()
     }
 }
 
@@ -643,11 +646,7 @@ fn mark_overhead(
     let prepare = phase_trace::span("prepare");
     let catalog = store.catalog(catalog_spec);
     let workload = workload.build(&catalog);
-    let plain: Vec<Arc<InstrumentedProgram>> = catalog
-        .benchmarks()
-        .iter()
-        .map(|b| store.baseline(b.program()))
-        .collect();
+    let plain = store.baseline_catalog(&catalog);
     let mut plan = ExperimentPlan::new();
     plan.push(CellSpec {
         group: "baseline".into(),
@@ -784,11 +783,7 @@ fn policy_matrix(
         .map(|family| {
             let catalog = store.catalog(&family.catalog);
             let instrumented = store.instrumented_catalog(&catalog, machine, pipeline);
-            let plain: Vec<Arc<InstrumentedProgram>> = catalog
-                .benchmarks()
-                .iter()
-                .map(|b| store.baseline(b.program()))
-                .collect();
+            let plain = store.baseline_catalog(&catalog);
             let isolated_ns = isolated_runtimes_cached(
                 &family.catalog,
                 &catalog,
@@ -901,11 +896,7 @@ fn tail_latency(
     let mut prepared = Vec::new();
     for family in families {
         let catalog = store.catalog(&family.catalog);
-        let plain: Vec<Arc<InstrumentedProgram>> = catalog
-            .benchmarks()
-            .iter()
-            .map(|b| store.baseline(b.program()))
-            .collect();
+        let plain = store.baseline_catalog(&catalog);
         // The workload (arrival trace, request mix, deadlines) depends only
         // on the family spec: every machine replays the *same* request
         // stream, so quantile differences are the machine's and policy's.
@@ -1022,11 +1013,7 @@ fn engine_perf(
     let mut rows = Vec::new();
     for perf in workloads {
         let catalog = store.catalog(&perf.catalog);
-        let plain: Vec<Arc<InstrumentedProgram>> = catalog
-            .benchmarks()
-            .iter()
-            .map(|b| store.baseline(b.program()))
-            .collect();
+        let plain = store.baseline_catalog(&catalog);
         let workload = perf.workload.build(&catalog);
         let slots = build_slots(&workload, &catalog, &plain);
         let config = SimConfig {

@@ -364,19 +364,7 @@ impl TuningResponse {
                 .field("spec_hash", spec_hash.to_string())
                 .field("study", report.study.as_str())
                 .field("title", report.title.as_str())
-                .field(
-                    "rows",
-                    report
-                        .rows
-                        .iter()
-                        .map(|row| {
-                            row.metrics.iter().fold(
-                                JsonValue::object().field("label", row.label.as_str()),
-                                |doc, (name, value)| doc.field(name, value.to_json()),
-                            )
-                        })
-                        .collect::<Vec<_>>(),
-                ),
+                .field("rows", report.rows_json()),
             TuningResponse::Stats { id, stats } => JsonValue::object()
                 .field("id", id.as_str())
                 .field("status", "ok")

@@ -8,11 +8,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use phase_core::{ArtifactStore, ContentHash, ShardedClockCache, StableHasher, StoreFootprint};
+use phase_core::{ArtifactStore, ClockCache, ContentHash, StableHasher, StoreFootprint};
 use phase_serve::{ServiceConfig, TuningService};
 use proptest::prelude::*;
 
-/// A deterministic key spread across shards.
+/// A deterministic key per selector.
 fn key_of(selector: u8) -> ContentHash {
     let mut hasher = StableHasher::new();
     hasher.write_str("prop-key");
@@ -55,7 +55,7 @@ proptest! {
     fn clock_cache_invariants_hold_under_arbitrary_workloads(
         ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
-        let cache: ShardedClockCache<Vec<u8>> = ShardedClockCache::new();
+        let cache: ClockCache<Vec<u8>> = ClockCache::new();
         let mut held: Vec<(ContentHash, Arc<Vec<u8>>)> = Vec::new();
         let mut lookups = 0u64;
         for op in ops {

@@ -101,11 +101,7 @@ fn cached_plan(store: &ArtifactStore, policies: &[Policy]) -> ExperimentPlan {
         .iter()
         .map(|b| store.instrumented(b.program(), &machine, &pipeline))
         .collect();
-    let baseline: Vec<_> = catalog
-        .benchmarks()
-        .iter()
-        .map(|b| store.baseline(b.program()))
-        .collect();
+    let baseline = store.baseline_catalog(&catalog);
     let workload = Workload::random(&catalog, 4, 1, 11);
     let planned = PlannedWorkload {
         name: "w".into(),
@@ -179,6 +175,41 @@ fn a_plan_with_one_new_cell_computes_only_that_cell() {
     assert_eq!((cells.hits, cells.misses, cells.inserts), (4, 1, 1));
     for (a, b) in reference.cells.iter().zip(&outcome.cells) {
         assert_eq!(a.result, b.result, "cell {}", a.label);
+    }
+}
+
+#[test]
+fn each_missing_cell_is_simulated_once_at_eight_workers() {
+    // Eight copies of one cell, then two distinct cells: three keys. Each
+    // cell simulates a few milliseconds, so eight workers would overlap on
+    // the copies if any of them could claim one.
+    let plan = |store: &ArtifactStore| {
+        let cells = four_policy_plan(store).cells().to_vec();
+        let mut plan = ExperimentPlan::new();
+        for _ in 0..8 {
+            plan.push(cells[0].clone());
+        }
+        plan.push(cells[1].clone());
+        plan.push(cells[2].clone());
+        plan
+    };
+    let reference_store = ArtifactStore::new();
+    let reference = Driver::new(1).run_cached(plan(&reference_store), &reference_store);
+    for run in 0..5 {
+        let store = ArtifactStore::new();
+        let outcome = Driver::new(8).run_cached(plan(&store), &store);
+        let cells = store.snapshot().stage("cells").unwrap();
+        assert_eq!(
+            (cells.misses, cells.inserts, cells.hits),
+            (3, 3, 7),
+            "run {run}: one simulation per distinct cell"
+        );
+        assert_eq!(outcome.aggregate, reference.aggregate);
+        for (a, b) in reference.cells.iter().zip(&outcome.cells) {
+            assert_eq!((a.index, &a.label), (b.index, &b.label));
+            assert_eq!(a.result, b.result, "run {run}, cell {}", a.index);
+            assert_eq!(a.tuner_stats, b.tuner_stats, "run {run}, cell {}", a.index);
+        }
     }
 }
 

@@ -7,8 +7,8 @@
 //! family (heavy phase-transition traffic), a bursty-arrival workload (the
 //! idle stretches the event engine skips), an online-policy run with
 //! interval sampling, a larger bursty workload under online sampling
-//! (batched same-timestamp arrivals interleaved with sample ticks on the
-//! bucket queue's fast path), and the online study's drifting family (most
+//! (batched same-timestamp arrivals interleaved with sample ticks in the
+//! event queue), and the online study's drifting family (most
 //! blocks run in loops the event engine replays). The whole [`SimResult`]
 //! must be equal, labels aside, every `f64` compared with `==`: both engines
 //! drive the same scheduling primitives with the same floating-point
@@ -304,7 +304,7 @@ fn engines_agree_on_a_large_bursty_workload_with_online_sampling() {
     use phase_tuning::substrate::online::OnlineConfig;
     // The stress case for the batched event path: a larger catalogue and
     // slot count than the cases above, arrivals in waves (draining the
-    // calendar queue across long idle gaps), AND the online policy's
+    // event queue across long idle gaps), AND the online policy's
     // periodic SampleInterval ticks landing between quantum expiries. Wave
     // gaps are deliberately not multiples of the sampling period, so arrival
     // bursts, sampling ticks, and quantum expiries collide at shared
