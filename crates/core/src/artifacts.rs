@@ -17,7 +17,11 @@
 //! cache (one `parking_lot` mutex over the map, the CLOCK ring and the
 //! hit/miss/insert/eviction counters), its place in the eviction order and,
 //! for the stages in [`SPILL_STAGES`], the phase-pack codec that the on-disk
-//! spill and the network artifact cache share. One lock per stage is enough
+//! spill and the network artifact cache share. The spill writes each
+//! distinct program once, to its program table, and its catalogue,
+//! instrumented and baseline records refer to it by table index and
+//! fingerprint; a network payload carries its program inline, so it stands
+//! alone. One lock per stage is enough
 //! for the measured traffic: over 10 s of each perfbench workload on a
 //! 2-vCPU VM, 7 of about 36 million lock acquisitions had to wait. Values
 //! are deterministic, so a racing double-compute (two service requests
@@ -63,12 +67,12 @@ use crate::pipeline::{
 const FP_MEMO_CAP: usize = 4096;
 
 /// The stages the store can persist to disk and serve over the network, in
-/// spill order. Catalogues come first: regenerating one takes milliseconds
-/// (4–15 ms for the quick study catalogues), and loading them first makes
-/// their programs the interned copies every later instrumented and baseline
-/// record shares. Region maps are rebuilt from the typing instead of being
-/// spilled; a restart that finds its instrumented programs never asks for
-/// them.
+/// spill order. A spill also writes its program table ([`PROGRAM_TABLE`]),
+/// which is not a stage: it loads before every stage file, so each program
+/// is decoded once and every catalogue, instrumented and baseline record of
+/// it shares that copy. Region maps are rebuilt from the typing instead of
+/// being spilled; a restart that finds its instrumented programs never asks
+/// for them.
 pub const SPILL_STAGES: [&str; 7] = [
     "catalogs",
     "typings",
@@ -81,6 +85,11 @@ pub const SPILL_STAGES: [&str; 7] = [
 
 /// The manifest `format` of a spill this build writes and reads.
 const SPILL_FORMAT: &str = "phase-pack";
+
+/// The spill's program table: the header stage name of `programs.ppk`,
+/// whose records are each distinct program's [`pack::encode_program`]
+/// bytes keyed by its fingerprint, in first-use order.
+pub const PROGRAM_TABLE: &str = "programs";
 
 /// What a spill load did: artifacts offered to the store, records skipped
 /// for cause, and a human-readable line per failure.
@@ -665,11 +674,12 @@ impl<V> Default for ClockCache<V> {
     }
 }
 
-/// The phase-pack codec of a persisted stage. A decoder takes the programs
-/// its payload embeds from the store's intern table.
+/// The phase-pack codec of a persisted stage. The encoder writes each
+/// program field through a sink and the decoder reads it through a source:
+/// inline bytes on the wire, a program-table reference in the spill.
 #[derive(Debug)]
 struct Codec<V> {
-    encode: fn(&V) -> Vec<u8>,
+    encode: fn(&V, pack::ProgramSink<'_>) -> Vec<u8>,
     decode: fn(&[u8], pack::ProgramSource<'_>) -> Result<V, pack::PackError>,
 }
 
@@ -702,7 +712,7 @@ impl<V> Stage<V> {
     fn persisted(
         name: &'static str,
         evict_rank: u8,
-        encode: fn(&V) -> Vec<u8>,
+        encode: fn(&V, pack::ProgramSink<'_>) -> Vec<u8>,
         decode: fn(&[u8], pack::ProgramSource<'_>) -> Result<V, pack::PackError>,
     ) -> Self {
         Self {
@@ -724,17 +734,21 @@ trait AnyStage: Send + Sync {
     fn is_persisted(&self) -> bool;
     /// Every resident key, sorted.
     fn keys(&self) -> Vec<ContentHash>;
-    /// Every resident artifact as a phase-pack record, sorted by key.
-    fn records(&self) -> Vec<(ContentHash, Vec<u8>)>;
-    /// One artifact's phase-pack payload; the lookup counts a hit or a miss.
+    /// Every resident artifact as a phase-pack record, sorted by key, with
+    /// its program fields written by `programs`.
+    fn records(&self, programs: pack::ProgramSink<'_>) -> Vec<(ContentHash, Vec<u8>)>;
+    /// One artifact's self-contained phase-pack payload; the lookup counts
+    /// a hit or a miss.
     fn export(&self, key: ContentHash) -> Option<Vec<u8>>;
-    /// Decodes `payload` and admits it through `store`'s budget; returns
-    /// whether the artifact is resident afterwards.
+    /// Decodes `payload`, taking its programs from `programs`, and admits it
+    /// through `store`'s budget; returns whether the artifact is resident
+    /// afterwards.
     fn import(
         &self,
         store: &ArtifactStore,
         key: ContentHash,
         payload: &[u8],
+        programs: pack::ProgramSource<'_>,
     ) -> Result<bool, pack::PackError>;
 }
 
@@ -763,20 +777,22 @@ impl<V: StoreFootprint + Send + Sync> AnyStage for Stage<V> {
         self.cache.entries().into_iter().map(|(k, _)| k).collect()
     }
 
-    fn records(&self) -> Vec<(ContentHash, Vec<u8>)> {
+    fn records(&self, programs: pack::ProgramSink<'_>) -> Vec<(ContentHash, Vec<u8>)> {
         let Some(codec) = &self.codec else {
             return Vec::new();
         };
         self.cache
             .entries()
             .into_iter()
-            .map(|(k, v)| (k, (codec.encode)(&v)))
+            .map(|(k, v)| (k, (codec.encode)(&v, &mut *programs)))
             .collect()
     }
 
     fn export(&self, key: ContentHash) -> Option<Vec<u8>> {
         let codec = self.codec.as_ref()?;
-        self.cache.lookup(key).map(|v| (codec.encode)(&v))
+        self.cache
+            .lookup(key)
+            .map(|v| (codec.encode)(&v, &mut pack::inline_program))
     }
 
     fn import(
@@ -784,6 +800,7 @@ impl<V: StoreFootprint + Send + Sync> AnyStage for Stage<V> {
         store: &ArtifactStore,
         key: ContentHash,
         payload: &[u8],
+        programs: pack::ProgramSource<'_>,
     ) -> Result<bool, pack::PackError> {
         let Some(codec) = &self.codec else {
             return Err(pack::PackError::Malformed(format!(
@@ -791,7 +808,7 @@ impl<V: StoreFootprint + Send + Sync> AnyStage for Stage<V> {
                 self.name
             )));
         };
-        let value = (codec.decode)(payload, &|bytes| store.intern_program(bytes))?;
+        let value = (codec.decode)(payload, programs)?;
         store.admit(&self.cache, key, Arc::new(value));
         Ok(self.cache.contains(key))
     }
@@ -1046,8 +1063,8 @@ pub struct ArtifactStore {
     /// Same memo (and the same bound) for instrumented programs, used when
     /// hashing job slots.
     instrumented_fps: Mutex<HashMap<usize, (Arc<InstrumentedProgram>, ContentHash)>>,
-    /// Programs decoded from phase-pack payloads (a spill load or an
-    /// artifact put), keyed by fingerprint, each with the bytes it was
+    /// Programs decoded from phase-pack bytes (a spill's program table or
+    /// an artifact put), keyed by fingerprint, each with the bytes it was
     /// decoded from: a payload whose program bytes are identical shares the
     /// entry's allocation instead of decoding another copy. Bounded by
     /// [`FP_MEMO_CAP`] like the memos.
@@ -1061,34 +1078,43 @@ impl Default for ArtifactStore {
     fn default() -> Self {
         Self {
             catalogs: Stage::persisted("catalogs", 1, pack::encode_catalog, pack::decode_catalog),
-            profiles: Stage::persisted("ipc_profiles", 6, pack::encode_profile, |bytes, _| {
-                pack::decode_profile(bytes)
-            }),
-            typings: Stage::persisted("typings", 7, pack::encode_typing, |bytes, _| {
-                pack::decode_typing(bytes)
-            }),
+            profiles: Stage::persisted(
+                "ipc_profiles",
+                6,
+                |profile, _| pack::encode_profile(profile),
+                |bytes, _| pack::decode_profile(bytes),
+            ),
+            typings: Stage::persisted(
+                "typings",
+                7,
+                |typing, _| pack::encode_typing(typing),
+                |bytes, _| pack::decode_typing(bytes),
+            ),
             regions: Stage::memory("regions", 4),
             instrumented: Stage::persisted(
                 "instrumented",
                 2,
-                pack::encode_instrumented,
+                pack::encode_instrumented_with,
                 pack::decode_instrumented_with,
             ),
             baselines: Stage::persisted(
                 "baselines",
                 3,
-                pack::encode_instrumented,
+                pack::encode_instrumented_with,
                 pack::decode_instrumented_with,
             ),
             isolated: Stage::persisted(
                 "isolated_runtimes",
                 5,
-                pack::encode_runtimes,
+                |runtimes, _| pack::encode_runtimes(runtimes),
                 |bytes, _| pack::decode_runtimes(bytes),
             ),
-            cells: Stage::persisted("cells", 0, pack::encode_cell, |bytes, _| {
-                pack::decode_cell(bytes)
-            }),
+            cells: Stage::persisted(
+                "cells",
+                0,
+                |cell, _| pack::encode_cell(cell),
+                |bytes, _| pack::decode_cell(bytes),
+            ),
             budget: None,
             program_fps: Mutex::default(),
             instrumented_fps: Mutex::default(),
@@ -1263,9 +1289,9 @@ impl ArtifactStore {
         memo.insert(Arc::as_ptr(program) as usize, (Arc::clone(program), hash));
     }
 
-    /// The program behind `bytes` (an [`pack::encode_program`] field of a
-    /// payload being loaded): the interned allocation when an earlier
-    /// payload carried identical bytes, otherwise a fresh, validated decode
+    /// The program behind `bytes` (a program-table record, or the inline
+    /// program field of an imported payload): the interned allocation when
+    /// earlier bytes were identical, otherwise a fresh, validated decode
     /// that later payloads will share. Either way the program's fingerprint
     /// is memoized from the bytes, so keying its artifacts re-encodes
     /// nothing.
@@ -1570,12 +1596,15 @@ impl ArtifactStore {
 
     /// Spills the persistable stages to `dir` as phase-pack.
     ///
-    /// Writes `index.json` (every stage's counters), one phase-pack file per
-    /// stage in [`SPILL_STAGES`] — catalogues, typings, IPC profiles,
-    /// isolated runtimes, instrumented programs, baseline twins and whole
-    /// simulation cells — and `manifest.json` (format name, pack version,
-    /// producing toolchain, and a content hash over every spilled key — the
-    /// value CI cache keys hang off).
+    /// Writes `index.json` (every stage's counters), the program table
+    /// `programs.ppk` (each distinct program once; see [`PROGRAM_TABLE`]),
+    /// one phase-pack file per stage in [`SPILL_STAGES`] — catalogues,
+    /// typings, IPC profiles, isolated runtimes, instrumented programs,
+    /// baseline twins and whole simulation cells, each program field a
+    /// [`pack::ProgramRef`] into the table — and `manifest.json` (format
+    /// name, pack version, producing toolchain, every file in load order,
+    /// and a content hash over every spilled key — the value CI cache keys
+    /// hang off).
     pub fn spill_to_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
         let _span = phase_trace::span("store-spill");
         std::fs::create_dir_all(dir)?;
@@ -1584,13 +1613,23 @@ impl ArtifactStore {
         std::fs::write(&index_path, self.snapshot().to_json().render())?;
         written.push(index_path);
 
+        // Encoding the stages fills the table; the table is written first
+        // because it loads first.
+        let mut table = SpillProgramTable::default();
+        let stage_files: Vec<_> = self
+            .spill_stages()
+            .map(|entry| {
+                let records = entry.records(&mut |program| table.reference(self, program));
+                (entry.name(), records)
+            })
+            .collect();
+        let files = std::iter::once((PROGRAM_TABLE, table.records())).chain(stage_files);
+
         let mut stage_docs = Vec::new();
         let mut manifest_hasher = StableHasher::new();
         manifest_hasher.write_str("spill-manifest");
         manifest_hasher.write_str(pack::toolchain_tag());
-        for entry in self.spill_stages() {
-            let stage = entry.name();
-            let records = entry.records();
+        for (stage, records) in files {
             manifest_hasher.write_str(stage);
             manifest_hasher.write_usize(records.len());
             for (key, _) in &records {
@@ -1640,7 +1679,7 @@ impl ArtifactStore {
     ) -> Result<bool, pack::PackError> {
         self.persisted_stage(stage)
             .ok_or_else(|| pack::PackError::Malformed(format!("unknown stage '{stage}'")))?
-            .import(self, key, payload)
+            .import(self, key, payload, &|bytes| self.intern_program(bytes))
     }
 
     /// Every resident key of every persistable stage, sorted within each
@@ -1662,8 +1701,11 @@ impl ArtifactStore {
     /// toolchain rejects the whole directory as one recorded error with zero
     /// loads (a stale or foreign cache is a cold start, not a crash), and a
     /// truncated or bit-flipped record is skipped with a structured error
-    /// while the intact remainder still loads. `Err` is reserved for I/O
-    /// failures other than a missing file.
+    /// while the intact remainder still loads. A record whose program
+    /// reference the program table cannot resolve (an index out of range, a
+    /// lost table record, another program's fingerprint at that index) is
+    /// skipped alone the same way. `Err` is reserved for I/O failures other
+    /// than a missing file.
     pub fn load_spill_report(&self, dir: &Path) -> io::Result<SpillLoadReport> {
         let _span = phase_trace::span("store-load");
         let mut report = SpillLoadReport::default();
@@ -1674,35 +1716,18 @@ impl ArtifactStore {
         Ok(report)
     }
 
-    /// Loads the per-stage pack files: per-file header validation, then
-    /// per-record checksum + decode validation, all failure contained as
-    /// skipped entries.
+    /// Loads the program table, then the per-stage pack files: per-file
+    /// header validation, then per-record checksum + decode validation, all
+    /// failure contained as skipped entries.
     fn load_pack_files(&self, dir: &Path, report: &mut SpillLoadReport) {
+        let table = self.load_program_table(dir, report);
         for entry in self.spill_stages() {
             let stage = entry.name();
-            let path = dir.join(format!("{stage}.ppk"));
-            let bytes = match std::fs::read(&path) {
-                Ok(bytes) => bytes,
-                Err(error) if error.kind() == io::ErrorKind::NotFound => continue,
-                Err(error) => {
-                    report.errors.push(format!("{stage}.ppk: {error}"));
-                    continue;
-                }
+            let Some(file) = read_spill_file(dir, stage, report) else {
+                continue;
             };
-            let file = match pack::read_pack_file(&bytes, stage) {
-                Ok(file) => file,
-                Err(error) => {
-                    // Header mismatch: the whole file is foreign or stale.
-                    report.errors.push(format!("{stage}.ppk: {error}"));
-                    continue;
-                }
-            };
-            for error in &file.skipped {
-                report.skipped += 1;
-                report.errors.push(format!("{stage}.ppk: {error}"));
-            }
             for (key, payload) in file.records {
-                match entry.import(self, key, &payload) {
+                match entry.import(self, key, &payload, &|bytes| table.resolve(bytes)) {
                     Ok(_) => report.loaded += 1,
                     Err(error) => {
                         report.skipped += 1;
@@ -1710,6 +1735,146 @@ impl ArtifactStore {
                     }
                 }
             }
+        }
+    }
+
+    /// Decodes and interns every intact record of `programs.ppk`, at its
+    /// record position. A record that fails validation is skipped with a
+    /// structured error, like any damaged record, and leaves its position
+    /// empty.
+    fn load_program_table(&self, dir: &Path, report: &mut SpillLoadReport) -> LoadedProgramTable {
+        let mut table = LoadedProgramTable::default();
+        let Some(file) = read_spill_file(dir, PROGRAM_TABLE, report) else {
+            return table;
+        };
+        table.announced = file.announced;
+        for ((key, payload), position) in file.records.iter().zip(file.positions) {
+            match self.intern_program(payload) {
+                Ok(program) => {
+                    let fingerprint = self.program_fingerprint(&program);
+                    table.programs.resize(position + 1, None);
+                    table.programs[position] = Some((program, fingerprint));
+                }
+                Err(error) => {
+                    report.skipped += 1;
+                    report
+                        .errors
+                        .push(format!("{PROGRAM_TABLE}.ppk {key}: {error}"));
+                }
+            }
+        }
+        table
+    }
+}
+
+/// Reads `dir`'s pack file of `stage`, recording a whole-file rejection or
+/// each damaged record in `report`. A missing file is `None` with no error.
+fn read_spill_file(
+    dir: &Path,
+    stage: &str,
+    report: &mut SpillLoadReport,
+) -> Option<pack::PackFile> {
+    let bytes = match std::fs::read(dir.join(format!("{stage}.ppk"))) {
+        Ok(bytes) => bytes,
+        Err(error) if error.kind() == io::ErrorKind::NotFound => return None,
+        Err(error) => {
+            report.errors.push(format!("{stage}.ppk: {error}"));
+            return None;
+        }
+    };
+    let file = match pack::read_pack_file(&bytes, stage) {
+        Ok(file) => file,
+        Err(error) => {
+            // Header mismatch: the whole file is foreign or stale.
+            report.errors.push(format!("{stage}.ppk: {error}"));
+            return None;
+        }
+    };
+    for error in &file.skipped {
+        report.skipped += 1;
+        report.errors.push(format!("{stage}.ppk: {error}"));
+    }
+    Some(file)
+}
+
+/// The program table a spill is writing: each distinct program once, in
+/// first-use order, so the same store spills the same bytes.
+#[derive(Default)]
+struct SpillProgramTable {
+    programs: Vec<(Arc<Program>, ContentHash)>,
+    by_fingerprint: HashMap<ContentHash, usize>,
+}
+
+impl SpillProgramTable {
+    /// The program field of a spill record holding `program`, which joins
+    /// the table on first use. Programs that share a fingerprint share a
+    /// table record only if they are equal: a program whose fingerprint
+    /// collides with another's is written once per reference, each copy
+    /// told apart by its index.
+    fn reference(&mut self, store: &ArtifactStore, program: &Arc<Program>) -> Vec<u8> {
+        let fingerprint = store.program_fingerprint(program);
+        let shared = self
+            .by_fingerprint
+            .get(&fingerprint)
+            .copied()
+            .filter(|&at| {
+                let held = &self.programs[at].0;
+                Arc::ptr_eq(held, program) || held == program
+            });
+        let index = shared.unwrap_or_else(|| {
+            self.by_fingerprint
+                .entry(fingerprint)
+                .or_insert(self.programs.len());
+            self.programs.push((Arc::clone(program), fingerprint));
+            self.programs.len() - 1
+        });
+        pack::ProgramRef {
+            name: program.name().to_string(),
+            index,
+            fingerprint,
+        }
+        .encode()
+    }
+
+    /// The table's records: each program's fingerprint and its
+    /// [`pack::encode_program`] bytes.
+    fn records(&self) -> Vec<(ContentHash, Vec<u8>)> {
+        self.programs
+            .iter()
+            .map(|(program, fingerprint)| (*fingerprint, pack::encode_program(program)))
+            .collect()
+    }
+}
+
+/// The program table a spill load resolves references against: the
+/// interned program and fingerprint at each intact record position.
+#[derive(Default)]
+struct LoadedProgramTable {
+    programs: Vec<Option<(Arc<Program>, ContentHash)>>,
+    /// How many records `programs.ppk` announced (0 when it is missing).
+    announced: usize,
+}
+
+impl LoadedProgramTable {
+    /// The program behind a spill record's program field: the table's
+    /// program at the reference's index, if that record is intact and has
+    /// the reference's fingerprint.
+    fn resolve(&self, bytes: &[u8]) -> Result<Arc<Program>, pack::PackError> {
+        let reference = pack::ProgramRef::decode(bytes)?;
+        if reference.index >= self.announced {
+            return Err(reference.unresolved(format!(
+                "beyond the {} records of {PROGRAM_TABLE}.ppk",
+                self.announced
+            )));
+        }
+        match self.programs.get(reference.index) {
+            Some(Some((program, fingerprint))) if *fingerprint == reference.fingerprint => {
+                Ok(Arc::clone(program))
+            }
+            Some(Some(_)) => Err(reference.unresolved(format!(
+                "{PROGRAM_TABLE}.ppk holds a program of another fingerprint there"
+            ))),
+            _ => Err(reference.unresolved(format!("its {PROGRAM_TABLE}.ppk record was lost"))),
         }
     }
 }

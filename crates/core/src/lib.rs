@@ -55,7 +55,7 @@ pub mod trace_export;
 
 pub use artifacts::{
     ArtifactStore, CachedCell, ClockCache, ContentHash, Fingerprint, SpillLoadReport, StableHasher,
-    StageStats, StoreBudget, StoreFootprint, StoreStats, SPILL_STAGES,
+    StageStats, StoreBudget, StoreFootprint, StoreStats, PROGRAM_TABLE, SPILL_STAGES,
 };
 pub use driver::{
     cell_seed, CellResult, CellSpec, Driver, ExperimentPlan, PlanAggregate, PlanOutcome,

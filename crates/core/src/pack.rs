@@ -22,9 +22,11 @@
 //!   encode→decode→encode is bit-identical — the property the round-trip
 //!   battery pins. A payload that carries a program (catalogues,
 //!   instrumented programs and baseline twins) holds it as one
-//!   length-prefixed [`encode_program`] field, so a loader can find, hash
-//!   and compare those bytes without decoding them, and decode each
-//!   distinct program once ([`ProgramSource`]).
+//!   length-prefixed field, written by a [`ProgramSink`] and read back by a
+//!   [`ProgramSource`]. On the wire (`export_artifact`, `artifact-get`) the
+//!   field is the program's own [`encode_program`] bytes, so a payload
+//!   stands alone; in a spill it is a [`ProgramRef`] into the spill's
+//!   program table (`programs.ppk`), which holds each distinct program once.
 //!
 //! [`base64_encode`]/[`base64_decode`] also live here: the network artifact
 //! cache ships these same payloads over the NDJSON wire.
@@ -54,7 +56,9 @@ pub const PACK_MAGIC: [u8; 4] = *b"PPK1";
 /// key derivation changes (version 4: the `instrumented` key hashes the
 /// machine and pipeline config before the program), so a spill keyed the
 /// old way is rejected whole instead of loading records nothing looks up.
-pub const PACK_VERSION: u64 = 4;
+/// Version 5: a spill's program-carrying records hold a [`ProgramRef`] into
+/// the spill's program table instead of a copy of the program.
+pub const PACK_VERSION: u64 = 5;
 
 /// The toolchain tag stamped into every pack file: artifacts are only
 /// reusable across processes built from the same crate version, because the
@@ -109,6 +113,17 @@ pub enum PackError {
     /// Structurally invalid content (bad tag, out-of-range value, trailing
     /// bytes, invalid UTF-8, an IR that fails validation).
     Malformed(String),
+    /// A spill record's [`ProgramRef`] names no intact program of the
+    /// spill's program table: its index is out of range, the table record
+    /// there was lost, or it holds a program of another fingerprint.
+    UnresolvedProgram {
+        /// The program's name, as the reference gives it.
+        name: String,
+        /// The table index the reference gives.
+        index: usize,
+        /// What the table holds at that index instead.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for PackError {
@@ -131,6 +146,11 @@ impl std::fmt::Display for PackError {
             PackError::StageMismatch { found } => write!(f, "file holds stage '{found}'"),
             PackError::Checksum { record } => write!(f, "record {record} failed its checksum"),
             PackError::Malformed(what) => write!(f, "malformed: {what}"),
+            PackError::UnresolvedProgram {
+                name,
+                index,
+                reason,
+            } => write!(f, "program '{name}' at table index {index}: {reason}"),
         }
     }
 }
@@ -321,6 +341,12 @@ impl<'a> PackReader<'a> {
 pub struct PackFile {
     /// `(key, payload)` for every intact record.
     pub records: Vec<(ContentHash, Vec<u8>)>,
+    /// Each intact record's position in the file, index-aligned with
+    /// `records`: a skipped record leaves a gap rather than shifting the
+    /// records after it.
+    pub positions: Vec<usize>,
+    /// How many records the header announced.
+    pub announced: usize,
     /// Why the remaining records could not be read.
     pub skipped: Vec<PackError>,
 }
@@ -379,7 +405,10 @@ pub fn read_pack_file(bytes: &[u8], expected_stage: &str) -> Result<PackFile, Pa
         return Err(PackError::StageMismatch { found: stage });
     }
     let count = r.usize()?;
-    let mut file = PackFile::default();
+    let mut file = PackFile {
+        announced: count,
+        ..PackFile::default()
+    };
     for record in 0..count {
         let read_one = |r: &mut PackReader<'_>| -> Result<(ContentHash, Vec<u8>, u64), PackError> {
             let hi = r.u64_fixed()?;
@@ -392,6 +421,7 @@ pub fn read_pack_file(bytes: &[u8], expected_stage: &str) -> Result<PackFile, Pa
             Ok((key, payload, checksum)) => {
                 if record_checksum(&payload) == checksum {
                     file.records.push((key, payload));
+                    file.positions.push(record);
                 } else {
                     // The framing survived, only the payload is damaged:
                     // skip this record and keep reading the rest.
@@ -757,7 +787,8 @@ fn read_program(r: &mut PackReader<'_>) -> Result<Program, PackError> {
 
 /// Encodes a program alone: its name, procedures, blocks, instructions and
 /// terminators. These bytes are what the artifact store fingerprints a
-/// program by, and what every program-carrying payload embeds.
+/// program by, what a wire payload's program field holds, and what each
+/// record of a spill's program table holds.
 pub fn encode_program(program: &Program) -> Vec<u8> {
     let mut w = PackWriter::new();
     write_program(&mut w, program);
@@ -772,22 +803,96 @@ pub fn decode_program(bytes: &[u8]) -> Result<Program, PackError> {
     Ok(program)
 }
 
-/// Where a decoder gets the program behind an embedded [`encode_program`]
-/// field: a fresh decode (as [`decode_instrumented`] does), or the artifact
-/// store's intern table, which hands every payload of one program the same
-/// allocation.
+/// Where a decoder gets the program behind a payload's program field. On
+/// the wire the field holds [`encode_program`] bytes: a fresh decode (as
+/// [`decode_instrumented`] does), or the artifact store's intern table,
+/// which hands every payload of one program the same allocation. In a
+/// spill it holds a [`ProgramRef`], which the store resolves against the
+/// spill's program table.
 pub type ProgramSource<'a> = &'a dyn Fn(&[u8]) -> Result<Arc<Program>, PackError>;
+
+/// What an encoder writes in a payload's program field, the mirror of
+/// [`ProgramSource`]: the program's own [`encode_program`] bytes for a
+/// self-contained wire payload (as [`encode_instrumented`] writes them), or
+/// a [`ProgramRef`] into the program table a spill writes once.
+pub type ProgramSink<'a> = &'a mut dyn FnMut(&Arc<Program>) -> Vec<u8>;
 
 fn fresh_program(bytes: &[u8]) -> Result<Arc<Program>, PackError> {
     decode_program(bytes).map(Arc::new)
 }
 
-/// Encodes an instrumented program (the underlying program as one
-/// length-prefixed [`encode_program`] field, then the marking config, entry
-/// type, and every phase mark).
+/// The wire's program sink: the program's own [`encode_program`] bytes.
+pub(crate) fn inline_program(program: &Arc<Program>) -> Vec<u8> {
+    encode_program(program)
+}
+
+/// A spill payload's program field: where the program sits in the spill's
+/// program table, and the fingerprint the loader checks against the program
+/// it finds there, so a table from another spill never pairs a record with
+/// the wrong program. The name opens the field, as it opens an
+/// [`encode_program`] field, and lets an error name the program even when
+/// its table record was lost.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProgramRef {
+    /// The program's name.
+    pub name: String,
+    /// The program's record position in the table.
+    pub index: usize,
+    /// The program's fingerprint.
+    pub fingerprint: ContentHash,
+}
+
+impl ProgramRef {
+    /// The field's bytes: name, index (varint), fingerprint (fixed u64 LE
+    /// `hi`, `lo`).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = PackWriter::new();
+        w.str(&self.name);
+        w.usize(self.index);
+        w.u64_fixed(self.fingerprint.hi);
+        w.u64_fixed(self.fingerprint.lo);
+        w.into_bytes()
+    }
+
+    /// Decodes a field written by [`ProgramRef::encode`].
+    pub fn decode(bytes: &[u8]) -> Result<Self, PackError> {
+        let mut r = PackReader::new(bytes);
+        let reference = Self {
+            name: r.str()?,
+            index: r.usize()?,
+            fingerprint: ContentHash {
+                hi: r.u64_fixed()?,
+                lo: r.u64_fixed()?,
+            },
+        };
+        r.finish()?;
+        Ok(reference)
+    }
+
+    /// The error for a reference the table cannot resolve.
+    pub(crate) fn unresolved(&self, reason: impl Into<String>) -> PackError {
+        PackError::UnresolvedProgram {
+            name: self.name.clone(),
+            index: self.index,
+            reason: reason.into(),
+        }
+    }
+}
+
+/// Encodes an instrumented program with its program inline, as the wire
+/// carries it: [`encode_instrumented_with`] over [`encode_program`].
 pub fn encode_instrumented(instrumented: &InstrumentedProgram) -> Vec<u8> {
+    encode_instrumented_with(instrumented, &mut inline_program)
+}
+
+/// Encodes an instrumented program: the program field (written by
+/// `programs`), then the marking config, entry type, and every phase mark.
+pub fn encode_instrumented_with(
+    instrumented: &InstrumentedProgram,
+    programs: ProgramSink<'_>,
+) -> Vec<u8> {
     let mut w = PackWriter::new();
-    w.bytes(&encode_program(instrumented.program()));
+    w.bytes(&programs(instrumented.program()));
     w.u64(match instrumented.config().granularity {
         Granularity::BasicBlock => 0,
         Granularity::Interval => 1,
@@ -853,9 +958,9 @@ pub fn decode_instrumented_with(
     ))
 }
 
-/// Encodes a catalogue: per benchmark, its profile and then its program as
-/// one length-prefixed [`encode_program`] field.
-pub fn encode_catalog(catalog: &Catalog) -> Vec<u8> {
+/// Encodes a catalogue: per benchmark, its profile and then its program
+/// field, written by `programs`.
+pub fn encode_catalog(catalog: &Catalog, programs: ProgramSink<'_>) -> Vec<u8> {
     let mut w = PackWriter::new();
     w.usize(catalog.len());
     for benchmark in catalog.benchmarks() {
@@ -877,7 +982,7 @@ pub fn encode_catalog(catalog: &Catalog) -> Vec<u8> {
             w.u64(phase.working_set_bytes);
             w.bool(phase.uniform);
         }
-        w.bytes(&encode_program(benchmark.program()));
+        w.bytes(&programs(benchmark.program()));
     }
     w.into_bytes()
 }
@@ -1137,9 +1242,9 @@ mod tests {
     #[test]
     fn catalogues_round_trip_bit_identically() {
         let catalog = phase_workload::CatalogSpec::drifting(0.05, 3).build();
-        let encoded = encode_catalog(&catalog);
+        let encoded = encode_catalog(&catalog, &mut inline_program);
         let decoded = decode_catalog(&encoded, &fresh_program).expect("decode");
-        assert_eq!(encode_catalog(&decoded), encoded);
+        assert_eq!(encode_catalog(&decoded, &mut inline_program), encoded);
         for (original, copy) in catalog.benchmarks().iter().zip(decoded.benchmarks()) {
             assert_eq!(copy.profile(), original.profile());
             assert_eq!(copy.program(), original.program());
@@ -1179,5 +1284,32 @@ mod tests {
         let file = read_pack_file(&flipped, "typings").unwrap();
         assert_eq!(file.records.len(), 1);
         assert!(matches!(file.skipped[0], PackError::Checksum { record: 1 }));
+
+        // A skipped first record leaves a gap in the positions: the second
+        // record keeps position 1.
+        let mut flipped = bytes.clone();
+        let victim = bytes.len() - 29 - 9; // record 1 is the last 29 bytes
+        flipped[victim] ^= 0x40;
+        let file = read_pack_file(&flipped, "typings").unwrap();
+        assert_eq!(file.records, records[1..]);
+        assert_eq!((file.positions, file.announced), (vec![1], 2));
+    }
+
+    #[test]
+    fn program_refs_round_trip_and_reject_trailing_bytes() {
+        let reference = ProgramRef {
+            name: "gzip".to_string(),
+            index: 300,
+            fingerprint: ContentHash {
+                hi: 1,
+                lo: u64::MAX,
+            },
+        };
+        let bytes = reference.encode();
+        assert_eq!(ProgramRef::decode(&bytes), Ok(reference));
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(ProgramRef::decode(&longer).is_err());
+        assert!(ProgramRef::decode(&bytes[..bytes.len() - 1]).is_err());
     }
 }

@@ -5,16 +5,22 @@
 //! panics, never deserializes wrong, and never returns `Err` for damage the
 //! format is designed to contain.
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use phase_core::pack::{read_pack_file, write_pack_file, PackReader, PackWriter};
+use phase_core::json::JsonValue;
+use phase_core::pack::{
+    decode_catalog, decode_instrumented_with, read_pack_file, write_pack_file, PackReader,
+    PackWriter, ProgramRef,
+};
 use phase_core::substrate::ir::{Instruction, Program, ProgramBuilder, Terminator};
 use phase_core::substrate::sched::SimResult;
 use phase_core::substrate::workload::CatalogSpec;
 use phase_core::{
     prepare_workload_cached, ArtifactStore, CachedCell, ContentHash, ExperimentConfig,
-    SpillLoadReport, SPILL_STAGES,
+    SpillLoadReport, PROGRAM_TABLE, SPILL_STAGES,
 };
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -27,8 +33,17 @@ fn temp_dir(name: &str) -> PathBuf {
 /// A store with every spillable stage populated: the full static pipeline
 /// over the smoke-test catalogue, plus one synthetic simulation cell.
 fn populated_store() -> ArtifactStore {
+    populated_store_at(ExperimentConfig::smoke_test().workload_seed)
+}
+
+/// [`populated_store`] over the smoke-test catalogue of another seed: the
+/// same benchmark names, other programs.
+fn populated_store_at(workload_seed: u64) -> ArtifactStore {
     let store = ArtifactStore::new();
-    let config = ExperimentConfig::smoke_test();
+    let config = ExperimentConfig {
+        workload_seed,
+        ..ExperimentConfig::smoke_test()
+    };
     prepare_workload_cached(&config, &store);
     store.cell(ContentHash { hi: 7, lo: 11 }, || CachedCell {
         result: Arc::new(SimResult {
@@ -418,15 +433,30 @@ fn a_malformed_program_under_a_valid_checksum_is_skipped_alone() {
     assert_eq!(stats.total_misses(), 1);
 }
 
+/// Loads `dir`, which must be rejected whole as a spill of pack `version`:
+/// one recorded error, zero loads.
+fn assert_stale_version_is_a_cold_start(dir: &Path, version: u64) {
+    let report = load_fresh(dir);
+    assert_eq!(report.loaded, 0, "version {version}");
+    assert_eq!(report.skipped, 0, "version {version}");
+    assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
+    assert!(
+        report.errors[0].contains(&format!("pack version {version}")),
+        "{:?}",
+        report.errors
+    );
+}
+
 #[test]
 fn version_two_spills_are_a_recorded_cold_start() {
     let golden = temp_dir("version-two-golden");
     let store = populated_store();
     store.spill_to_dir(&golden).expect("spill");
 
-    // What a build that wrote pack version 2 left behind: its manifest and
-    // every file header say 2.
+    // What a build that wrote pack version 2 left behind: no program table,
+    // and its manifest and every file header say 2.
     let dir = copy_spill(&golden, "version-two");
+    std::fs::remove_file(dir.join(format!("{PROGRAM_TABLE}.ppk"))).expect("drop the table");
     let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
     let version_field = format!("\"version\": {}", phase_core::pack::PACK_VERSION);
     assert!(manifest.contains(&version_field));
@@ -445,16 +475,216 @@ fn version_two_spills_are_a_recorded_cold_start() {
         ));
         std::fs::write(&path, bytes).expect("rewrite header");
     }
+    assert_stale_version_is_a_cold_start(&dir, 2);
+    std::fs::remove_dir_all(&dir).ok();
 
+    // What a build that wrote pack version 4 left behind: no program table,
+    // and each catalogue, instrumented and baseline record carrying its
+    // program inline, as an exported payload still does.
+    let dir = temp_dir("version-four");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create dir");
+    for (stage, keys) in store.artifact_keys() {
+        let records: Vec<(ContentHash, Vec<u8>)> = keys
+            .into_iter()
+            .map(|key| (key, store.export_artifact(stage, key).expect("resident")))
+            .collect();
+        let mut bytes = write_pack_file(stage, &records);
+        bytes[phase_core::pack::PACK_MAGIC.len()] = 4;
+        std::fs::write(dir.join(format!("{stage}.ppk")), bytes).expect("write stage file");
+    }
+    let manifest = JsonValue::object()
+        .field("format", "phase-pack")
+        .field("version", 4u64)
+        .field("toolchain", phase_core::pack::toolchain_tag());
+    std::fs::write(dir.join("manifest.json"), manifest.render()).expect("write manifest");
+    assert_stale_version_is_a_cold_start(&dir, 4);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&golden).ok();
+}
+
+/// The program-table indices a spill record's program fields name, read by
+/// decoding the record with a source that notes each reference.
+fn referenced_indices(stage: &str, payload: &[u8]) -> Vec<usize> {
+    let seen = RefCell::new(Vec::new());
+    let note = |bytes: &[u8]| {
+        seen.borrow_mut().push(ProgramRef::decode(bytes)?.index);
+        Ok(one_block_program(None))
+    };
+    match stage {
+        "catalogs" => drop(decode_catalog(payload, &note).expect("a catalogue record")),
+        "instrumented" | "baselines" => {
+            drop(decode_instrumented_with(payload, &note).expect("a program record"))
+        }
+        _ => {}
+    }
+    seen.into_inner()
+}
+
+/// Every record of `dir`'s stage files that names a table index `lost`
+/// holds, as the load report names it: `"{stage}.ppk {key}"`.
+fn records_naming(dir: &Path, lost: impl Fn(usize) -> bool) -> BTreeSet<String> {
+    let mut named = BTreeSet::new();
+    for stage in SPILL_STAGES {
+        let bytes = std::fs::read(dir.join(format!("{stage}.ppk"))).expect("stage file");
+        let file = read_pack_file(&bytes, stage).expect("intact stage file");
+        for (key, payload) in &file.records {
+            if referenced_indices(stage, payload).into_iter().any(&lost) {
+                named.insert(format!("{stage}.ppk {key}"));
+            }
+        }
+    }
+    named
+}
+
+/// The fingerprints `programs.ppk` keys its records by, in record order.
+fn table_keys(dir: &Path) -> Vec<ContentHash> {
+    let bytes = std::fs::read(dir.join(format!("{PROGRAM_TABLE}.ppk"))).expect("table");
+    let file = read_pack_file(&bytes, PROGRAM_TABLE).expect("intact table");
+    file.records.into_iter().map(|(key, _)| key).collect()
+}
+
+/// Loads `dir` and checks that exactly the records in `expected` were
+/// skipped, each with a structured error naming its program, that
+/// `table_damage` errors name `programs.ppk` itself, and that everything
+/// else loaded.
+fn assert_skips_exactly(
+    dir: &Path,
+    intact: &SpillLoadReport,
+    expected: &BTreeSet<String>,
+    table_damage: usize,
+) {
+    assert!(!expected.is_empty(), "the case damages something");
+    let report = load_fresh(dir);
+    let table_prefix = format!("{PROGRAM_TABLE}.ppk");
+    let (table_errors, record_errors): (Vec<&String>, Vec<&String>) = report
+        .errors
+        .iter()
+        .partition(|error| error.starts_with(&table_prefix));
+    assert_eq!(table_errors.len(), table_damage, "{table_errors:?}");
+    for error in &record_errors {
+        assert!(error.contains(": program '"), "{error}");
+    }
+    let skipped: BTreeSet<String> = record_errors
+        .iter()
+        .map(|error| error.split(':').next().expect("a record name").to_string())
+        .collect();
+    assert_eq!(&skipped, expected);
+    assert_eq!(record_errors.len(), expected.len(), "{record_errors:?}");
+    assert_eq!(report.skipped, expected.len() + table_damage);
+    assert_eq!(report.loaded, intact.loaded - expected.len());
+}
+
+#[test]
+fn a_damaged_program_table_skips_exactly_the_records_of_its_lost_programs() {
+    let golden = temp_dir("table-golden");
+    let store = populated_store();
+    store.spill_to_dir(&golden).expect("spill");
+    let intact = load_fresh(&golden);
+    assert!(intact.errors.is_empty(), "{:?}", intact.errors);
+    let table_path = |dir: &Path| dir.join(format!("{PROGRAM_TABLE}.ppk"));
+    let table = std::fs::read(table_path(&golden)).expect("table");
+    let programs = table_keys(&golden).len();
+    assert!(programs > 2, "{programs} programs");
+
+    // Truncated: the records past the cut are lost, one framing error.
+    let dir = copy_spill(&golden, "table-truncated");
+    let cut = &table[..table.len() / 2];
+    std::fs::write(table_path(&dir), cut).expect("truncate");
+    let kept = read_pack_file(cut, PROGRAM_TABLE)
+        .expect("header intact")
+        .records
+        .len();
+    assert!(kept < programs);
+    assert_skips_exactly(&dir, &intact, &records_naming(&dir, |i| i >= kept), 1);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A bit flip inside a middle record's program: that record fails its
+    // checksum, and the records after it keep their positions.
+    let dir = copy_spill(&golden, "table-bitflip");
+    let victim = programs / 2;
+    let file = read_pack_file(&table, PROGRAM_TABLE).expect("intact table");
+    let payload = &file.records[victim].1;
+    let at = table
+        .windows(payload.len())
+        .position(|window| window == payload.as_slice())
+        .expect("the payload sits in the file");
+    let mut flipped = table.clone();
+    flipped[at + payload.len() / 2] ^= 0x10;
+    std::fs::write(table_path(&dir), flipped).expect("flip");
+    assert_skips_exactly(&dir, &intact, &records_naming(&dir, |i| i == victim), 1);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Missing: every record that carries a program is skipped; typings,
+    // profiles, runtimes and cells still load.
+    let dir = copy_spill(&golden, "table-missing");
+    std::fs::remove_file(table_path(&dir)).expect("remove table");
+    let every = records_naming(&dir, |_| true);
+    assert_skips_exactly(&dir, &intact, &every, 0);
+    assert!(every.len() < intact.loaded);
+    std::fs::remove_dir_all(&dir).ok();
+
+    std::fs::remove_dir_all(&golden).ok();
+}
+
+#[test]
+fn an_out_of_range_index_under_a_valid_checksum_is_skipped_alone() {
+    let golden = temp_dir("index-golden");
+    let store = populated_store();
+    store.spill_to_dir(&golden).expect("spill");
+    let intact = load_fresh(&golden);
+    let programs = table_keys(&golden).len();
+
+    // Point the first instrumented record past the table's end and re-frame
+    // the file, so the record's checksum is valid and only its index is
+    // wrong.
+    let dir = copy_spill(&golden, "index-out-of-range");
+    let path = dir.join("instrumented.ppk");
+    let mut file =
+        read_pack_file(&std::fs::read(&path).expect("read"), "instrumented").expect("intact");
+    let (victim, payload) = &mut file.records[0];
+    let mut r = PackReader::new(payload);
+    let mut reference = ProgramRef::decode(r.bytes().expect("program field")).expect("reference");
+    reference.index = programs + 7;
+    let mut w = PackWriter::new();
+    w.bytes(&reference.encode());
+    let mut damaged = w.into_bytes();
+    damaged.extend_from_slice(&payload[payload.len() - r.remaining()..]);
+    *payload = damaged;
+    let victim = format!("instrumented.ppk {victim}");
+    std::fs::write(&path, write_pack_file("instrumented", &file.records)).expect("rewrite");
+
+    assert_skips_exactly(&dir, &intact, &BTreeSet::from([victim.clone()]), 0);
     let report = load_fresh(&dir);
-    assert_eq!(report.loaded, 0);
-    assert_eq!(report.skipped, 0);
-    assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
     assert!(
-        report.errors[0].contains("pack version 2"),
+        report.errors[0].starts_with(&victim) && report.errors[0].contains("beyond the"),
         "{:?}",
         report.errors
     );
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&golden).ok();
+}
+
+#[test]
+fn a_program_table_from_another_spill_never_pairs_a_record_with_its_program() {
+    let golden = temp_dir("foreign-golden");
+    populated_store().spill_to_dir(&golden).expect("spill");
+    let intact = load_fresh(&golden);
+    let other = temp_dir("foreign-other");
+    let seed = ExperimentConfig::smoke_test().workload_seed + 1;
+    populated_store_at(seed)
+        .spill_to_dir(&other)
+        .expect("spill");
+
+    // Same pack version, same benchmark names at the same indices, other
+    // programs: only the fingerprints tell the tables apart.
+    let dir = copy_spill(&golden, "foreign-table");
+    let table = format!("{PROGRAM_TABLE}.ppk");
+    std::fs::copy(other.join(&table), dir.join(&table)).expect("swap in the foreign table");
+    let (ours, theirs) = (table_keys(&golden), table_keys(&other));
+    let differs = |i: usize| theirs.get(i) != ours.get(i);
+    assert_skips_exactly(&dir, &intact, &records_naming(&dir, differs), 0);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&other).ok();
     std::fs::remove_dir_all(&golden).ok();
 }

@@ -45,6 +45,8 @@ pub struct Program {
     name: String,
     entry: ProcId,
     procedures: Vec<Procedure>,
+    /// Computed once by [`Program::new`]: a built program never changes.
+    stats: ProgramStats,
 }
 
 impl Program {
@@ -60,10 +62,17 @@ impl Program {
         entry: ProcId,
         procedures: Vec<Procedure>,
     ) -> Result<Self, IrError> {
+        let stats = ProgramStats {
+            procedures: procedures.len(),
+            blocks: procedures.iter().map(Procedure::block_count).sum(),
+            instructions: procedures.iter().map(Procedure::instruction_count).sum(),
+            size_bytes: procedures.iter().map(Procedure::size_bytes).sum(),
+        };
         let program = Self {
             name: name.into(),
             entry,
             procedures,
+            stats,
         };
         program.validate()?;
         Ok(program)
@@ -130,11 +139,6 @@ impl Program {
             .unwrap_or_else(|| panic!("procedure {id} missing from program `{}`", self.name))
     }
 
-    /// Mutable access to a procedure by id.
-    pub fn procedure_mut(&mut self, id: ProcId) -> Option<&mut Procedure> {
-        self.procedures.get_mut(id.index())
-    }
-
     /// Looks up a block by program-wide location.
     pub fn block(&self, loc: Location) -> Option<&BasicBlock> {
         self.procedure(loc.proc)?.block(loc.block)
@@ -149,18 +153,9 @@ impl Program {
         })
     }
 
-    /// Summary statistics of the program.
+    /// Summary statistics of the program, computed once when it was built.
     pub fn stats(&self) -> ProgramStats {
-        ProgramStats {
-            procedures: self.procedures.len(),
-            blocks: self.procedures.iter().map(Procedure::block_count).sum(),
-            instructions: self
-                .procedures
-                .iter()
-                .map(Procedure::instruction_count)
-                .sum(),
-            size_bytes: self.procedures.iter().map(Procedure::size_bytes).sum(),
-        }
+        self.stats
     }
 
     /// Static instruction mix of the whole program (each block counted once).

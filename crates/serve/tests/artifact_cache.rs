@@ -9,7 +9,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 use phase_core::json::{parse, JsonValue};
-use phase_core::pack::{base64_decode, base64_encode};
+use phase_core::pack::{base64_decode, base64_encode, decode_instrumented, encode_instrumented};
 use phase_serve::{
     remote_push, remote_warm_start, serve_tcp_with, ServiceConfig, TuningService, WireConfig,
 };
@@ -55,7 +55,10 @@ fn first_artifact(service: &TuningService, stage: &str) -> (String, String) {
 #[test]
 fn artifact_requests_round_trip_at_the_wire_level() {
     let origin = TuningService::new(ServiceConfig::with_threads(2)).expect("cold start");
-    for line in REQUESTS {
+    // A comparison adds the baseline twins the other requests never build.
+    let comparison = "{\"id\": \"c\", \"kind\": \"comparison\", \"catalog\": {\"scale\": 0.04}, \
+                      \"slots\": 2, \"jobs_per_slot\": 1, \"horizon_ns\": 2000000.0}";
+    for line in REQUESTS.iter().chain([&comparison]) {
         origin.respond(line);
     }
 
@@ -69,24 +72,33 @@ fn artifact_requests_round_trip_at_the_wire_level() {
             "stage '{stage}' missing from the inventory"
         );
     }
-    let (hash, payload) = first_artifact(&origin, "typings");
-    let bytes = base64_decode(&payload).expect("payload is valid base64");
-    assert!(!bytes.is_empty());
-
-    // Putting that payload into a *different* service admits it; getting it
-    // back returns the identical bytes.
+    // Putting a payload of each stage into a *different* service admits it;
+    // getting it back returns the identical bytes. Payloads that carry a
+    // program carry it inline, so they stand alone.
     let replica = TuningService::new(ServiceConfig::with_threads(1)).expect("cold start");
-    let put = respond(
-        &replica,
-        &format!(
-            "{{\"id\": \"p\", \"kind\": \"artifact-put\", \"stage\": \"typings\", \
-             \"hash\": \"{hash}\", \"payload\": \"{payload}\"}}"
-        ),
-    );
-    assert_eq!(str_field(&put, "status"), "ok");
-    assert_eq!(put.get("admitted"), Some(&JsonValue::Bool(true)));
-    let (_, round_tripped) = first_artifact(&replica, "typings");
-    assert_eq!(round_tripped, payload, "payload changed across put/get");
+    for stage in ["typings", "catalogs", "instrumented", "baselines"] {
+        let (hash, payload) = first_artifact(&origin, stage);
+        let bytes = base64_decode(&payload).expect("payload is valid base64");
+        assert!(!bytes.is_empty());
+        if stage == "instrumented" {
+            let decoded = decode_instrumented(&bytes).expect("decodes on its own");
+            assert_eq!(encode_instrumented(&decoded), bytes);
+        }
+        let put = respond(
+            &replica,
+            &format!(
+                "{{\"id\": \"p\", \"kind\": \"artifact-put\", \"stage\": \"{stage}\", \
+                 \"hash\": \"{hash}\", \"payload\": \"{payload}\"}}"
+            ),
+        );
+        assert_eq!(str_field(&put, "status"), "ok", "{stage}");
+        assert_eq!(put.get("admitted"), Some(&JsonValue::Bool(true)), "{stage}");
+        let (_, round_tripped) = first_artifact(&replica, stage);
+        assert_eq!(
+            round_tripped, payload,
+            "{stage} payload changed across put/get"
+        );
+    }
 
     // A get for an absent hash is a miss, not an error.
     let miss = respond(

@@ -3,8 +3,10 @@
 //! caching enabled, the phase-pack spill round-trip, and the byte-budget /
 //! CLOCK-eviction layer behind the tuning service.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
+use phase_tuning::pack;
 use phase_tuning::substrate::amp::MachineSpec;
 use phase_tuning::substrate::marking::MarkingConfig;
 use phase_tuning::substrate::runtime::TunerConfig;
@@ -12,7 +14,7 @@ use phase_tuning::substrate::sched::{SimConfig, SimResult};
 use phase_tuning::substrate::workload::{CatalogSpec, Workload};
 use phase_tuning::{
     prepare_workload_cached, run_comparison_prepared, ArtifactStore, Driver, ExperimentConfig,
-    ExperimentPlan, PipelineConfig, PlannedWorkload, Policy,
+    ExperimentPlan, PipelineConfig, PlannedWorkload, Policy, PROGRAM_TABLE,
 };
 
 fn smoke_config(marking: MarkingConfig) -> ExperimentConfig {
@@ -322,8 +324,8 @@ fn spill_round_trips_through_phase_pack() {
     let files = store.spill_to_dir(&dir).expect("spill succeeds");
     assert_eq!(
         files.len(),
-        phase_tuning::SPILL_STAGES.len() + 2,
-        "index + manifest + one pack file per spill stage"
+        phase_tuning::SPILL_STAGES.len() + 3,
+        "index + manifest + program table + one pack file per spill stage"
     );
     assert!(files.iter().all(|file| file.exists()));
 
@@ -422,6 +424,83 @@ fn spill_load_shares_one_program_across_every_artifact_of_it() {
     }
     // Every artifact above came from the spill, none was recomputed.
     assert_eq!(fresh.snapshot().total_misses(), 0);
+}
+
+#[test]
+fn a_spill_writes_each_program_once() {
+    let store = ArtifactStore::new();
+    let configs = [
+        smoke_config(MarkingConfig::loop_level(45)),
+        smoke_config(MarkingConfig::basic_block(15, 0)),
+    ];
+    for config in &configs {
+        prepare_workload_cached(config, &store);
+    }
+    let dir = std::env::temp_dir().join(format!("phase-program-table-{}", std::process::id()));
+    let again = dir.join("again");
+    store.spill_to_dir(&dir).expect("spill succeeds");
+    let read = |dir: &std::path::Path, stage: &str| {
+        let bytes = std::fs::read(dir.join(format!("{stage}.ppk"))).expect("pack file");
+        let file = pack::read_pack_file(&bytes, stage).expect("intact pack file");
+        assert!(file.skipped.is_empty(), "{stage}: {:?}", file.skipped);
+        file.records
+    };
+
+    // One table record per distinct program: the catalogue's.
+    let catalog = store.catalog(&CatalogSpec::standard(
+        configs[0].catalog_scale,
+        configs[0].workload_seed,
+    ));
+    let distinct: HashSet<Vec<u8>> = catalog
+        .benchmarks()
+        .iter()
+        .map(|bench| pack::encode_program(bench.program()))
+        .collect();
+    let table = read(&dir, PROGRAM_TABLE);
+    assert_eq!(table.len(), distinct.len());
+    let held: HashSet<Vec<u8>> = table.iter().map(|(_, program)| program.clone()).collect();
+    assert_eq!(held, distinct);
+
+    // Instrumented and baseline records hold a reference into the table,
+    // never a program's bytes.
+    for stage in ["instrumented", "baselines"] {
+        let records = read(&dir, stage);
+        assert!(!records.is_empty(), "{stage} spilled");
+        for (key, payload) in &records {
+            for program in &distinct {
+                assert!(
+                    !payload
+                        .windows(program.len())
+                        .any(|window| window == program),
+                    "{stage} {key} embeds a program"
+                );
+            }
+            let field = pack::PackReader::new(payload)
+                .bytes()
+                .expect("a program field");
+            let reference = pack::ProgramRef::decode(field).expect("a table reference");
+            assert_eq!(reference.fingerprint, table[reference.index].0);
+        }
+    }
+
+    // The reloaded store spills the same bytes (`index.json` holds the
+    // store's counters, which a reload starts afresh).
+    let fresh = ArtifactStore::new();
+    let report = fresh.load_spill_report(&dir).expect("load succeeds");
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    let files = fresh.spill_to_dir(&again).expect("respill succeeds");
+    assert_eq!(files.len(), phase_tuning::SPILL_STAGES.len() + 3);
+    for file in files {
+        let name = file.file_name().expect("file name");
+        if name != "index.json" {
+            assert_eq!(
+                std::fs::read(&file).expect("respilled"),
+                std::fs::read(dir.join(name)).expect("spilled"),
+                "{name:?} changed across a reload"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
